@@ -1,4 +1,10 @@
-"""Optimal value-to-curve ordering: bottleneck, total deviation, tie-breaking."""
+"""Optimal value-to-curve ordering: bottleneck, total deviation, tie-breaking.
+
+``fit_oracle`` holds the general bipartite solver (binary search with
+Hopcroft-Karp, Hungarian assignment, lex-min DFS) that the 1-D solver
+replaced; its primitives are tested here and it is the reference for the
+differential tests.
+"""
 
 import itertools
 
@@ -9,20 +15,40 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from albumarc.core import EssenceSeries, Ordering
-from albumarc.fitcurve import (
-    FitResult,
+from albumarc.fitcurve import FitResult, _rank_intervals, fit_ordering, sample_template
+from albumarc.spline import DEFAULT_KNOTS, build_spline
+
+from fit_oracle import (
     candidate_thresholds,
-    fit_ordering,
+    fit_ordering as oracle_fit_ordering,
     has_perfect_matching,
     max_bipartite_matching,
     min_cost_perfect_matching,
-    sample_template,
 )
-from albumarc.spline import build_spline
 
 RISING = build_spline([0.0, 1.0], [0.0, 1.0])
 FALLING = build_spline([0.0, 1.0], [1.0, 0.0])
 CONSTANT = build_spline([0.0, 1.0], [0.5, 0.5])
+
+
+VALUE_KINDS = ("random", "constant", "two-level", "quarter-step", "dyadic")
+
+
+def make_values(kind, n, rng):
+    """n values in [0, 1]; every kind but ``random`` is tie-heavy."""
+    if kind == "random":
+        return rng.uniform(0, 1, n)
+    if kind == "constant":
+        return np.full(n, rng.uniform(0, 1))
+    if kind == "two-level":
+        return rng.integers(0, 2, n).astype(np.float64)
+    if kind == "quarter-step":
+        return rng.integers(0, 5, n) / 4.0
+    return rng.integers(0, 17, n) / 16.0
+
+
+def random_curve(rng):
+    return build_spline(DEFAULT_KNOTS, rng.uniform(0, 1, len(DEFAULT_KNOTS)))
 
 
 def brute_force(y, z):
@@ -152,6 +178,11 @@ class TestFitOrderingExamples:
         with pytest.raises(ValueError, match="min-max normalize"):
             fit_ordering([0.0, 1.4], RISING)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            fit_ordering([bad, 0.5, 0.2], RISING)
+
     def test_rejects_single_value(self):
         with pytest.raises(ValueError, match="at least 2"):
             fit_ordering([0.5], RISING)
@@ -266,3 +297,51 @@ class TestFitOrderingOptimality:
         second = fit_ordering(y, curve)
         assert first.ordering == second.ordering
         assert first.bottleneck == second.bottleneck
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("kind", VALUE_KINDS)
+    def test_matches_oracle_exactly(self, kind):
+        # 200 instances per kind, 1000 in all.
+        rng = np.random.default_rng([13, VALUE_KINDS.index(kind)])
+        for _ in range(200):
+            n = int(rng.integers(2, 61))
+            y = make_values(kind, n, rng)
+            curve = random_curve(rng)
+            got = fit_ordering(y, curve)
+            want = oracle_fit_ordering(y, curve)
+            assert got.ordering == want.ordering
+            assert got.bottleneck == want.bottleneck
+            assert got.total_deviation == pytest.approx(want.total_deviation, abs=1e-12)
+
+    def test_rank_intervals_are_monotone_and_hold_the_sorted_matching(self):
+        # The sweep's feasibility test rests on these two properties.
+        rng = np.random.default_rng(14)
+        for kind in VALUE_KINDS:
+            for _ in range(40):
+                n = int(rng.integers(2, 61))
+                ys = np.sort(make_values(kind, n, rng))
+                zs = np.sort(sample_template(random_curve(rng), n))
+                lo, hi = _rank_intervals(ys, zs, float(np.abs(ys - zs).max()))
+                assert np.all(np.diff(lo) >= 0) and np.all(np.diff(hi) >= 0)
+                assert np.all(lo <= np.arange(n)) and np.all(np.arange(n) <= hi)
+
+
+class TestLargeFits:
+    @pytest.mark.parametrize("kind", ["random", "constant", "two-level", "quarter-step"])
+    def test_n1000_is_optimal_permutation(self, kind):
+        rng = np.random.default_rng([15, VALUE_KINDS.index(kind)])
+        n = 1000
+        y = make_values(kind, n, rng)
+        curve = random_curve(rng)
+        result = fit_ordering(y, curve)
+        assert sorted(result.ordering.positions) == list(range(n))
+        sorted_dev = np.abs(np.sort(y) - np.sort(sample_template(curve, n)))
+        assert result.bottleneck == sorted_dev.max()
+        assert result.per_position_deviation.max() == sorted_dev.max()
+        assert result.total_deviation == pytest.approx(sorted_dev.sum(), abs=1e-9)
+
+    def test_n1000_constant_values_give_identity(self):
+        curve = random_curve(np.random.default_rng(16))
+        result = fit_ordering(np.full(1000, 0.3), curve)
+        assert result.ordering == Ordering.identity(1000)
