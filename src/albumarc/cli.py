@@ -9,6 +9,7 @@ and seed are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import logging
@@ -71,7 +72,6 @@ SECTION_KEYS = {
 class App:
     config_path: Path | None
     seed: int | None
-    threads: int
     out: Path
     _config: dict | None = None
     _hash: str | None = None
@@ -141,6 +141,16 @@ def _load_config(path: Path) -> dict:
                 f"{path}: unknown key(s) in section {key!r}: {sorted(unknown)}"
             )
     return doc
+
+
+@contextlib.contextmanager
+def _config_section(name: str):
+    """Report bad values met while building a config from section ``name``
+    as config errors."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config section {name!r}: {exc}") from None
 
 
 def _read_input_json(path: Path) -> dict:
@@ -232,19 +242,17 @@ def _float_cell(x) -> str:
 @click.option("--config", "config_path", type=click.Path(path_type=Path), default=None,
               help="Versioned JSON config file.")
 @click.option("--seed", type=int, default=None, help="Override every seed in the config.")
-@click.option("--threads", type=click.IntRange(1, 256), default=1, show_default=True,
-              help="Worker threads for parallelizable stages.")
 @click.option("--out", "out_dir", type=click.Path(path_type=Path, file_okay=False),
               default=Path("."), help="Output directory.")
 @click.pass_context
-def cli(ctx, config_path, seed, threads, out_dir):
+def cli(ctx, config_path, seed, out_dir):
     """Narrative-arc pipeline: learn essence, extract templates, reorder, evaluate."""
     level_name = os.environ.get("ND_LOG", "WARNING").upper()
     level = getattr(logging, level_name, None)
     if not isinstance(level, int):
         level = logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-    ctx.obj = App(config_path=config_path, seed=seed, threads=threads, out=out_dir)
+    ctx.obj = App(config_path=config_path, seed=seed, out=out_dir)
 
 
 # ------------------------------------------------------------------ commands
@@ -256,13 +264,14 @@ def synth(app: App):
     """Generate a synthetic dataset with a planted narrative arc."""
     section = app.section("synth")
     seed = app.effective_seed(section)
-    config = SynthConfig(
-        n_albums=int(section.get("n_albums", 200)),
-        length_range=tuple(section.get("length_range", (3, 20))),
-        latent_shape=section.get("latent_shape", "rising"),
-        noise_sigma=float(section.get("noise_sigma", 0.0)),
-        seed=seed,
-    )
+    with _config_section("synth"):
+        config = SynthConfig(
+            n_albums=int(section.get("n_albums", 200)),
+            length_range=tuple(section.get("length_range", (3, 20))),
+            latent_shape=section.get("latent_shape", "rising"),
+            noise_sigma=float(section.get("noise_sigma", 0.0)),
+            seed=seed,
+        )
     dataset = synth_generate(config, shuffle_orders=bool(section.get("shuffle_orders", False)))
     prov = app.provenance(seed)
     write_table(app.out / "dataset.csv", lambda fh: write_feature_csv(dataset, fh), prov)
@@ -277,12 +286,13 @@ def synth(app: App):
     )
 
 
-def _train_config(section: dict, seed: int, essence_dim: int | None = None) -> TrainConfig:
+def _train_config(section: dict, seed: int, essence_dim=None) -> TrainConfig:
     kwargs = {k: section[k] for k in _TRAIN_KEYS if k in section}
     kwargs["seed"] = seed
-    if essence_dim is not None:
-        kwargs["essence_dim"] = essence_dim
-    return TrainConfig(**kwargs)
+    with _config_section("train"):
+        if essence_dim is not None:
+            kwargs["essence_dim"] = int(essence_dim)
+        return TrainConfig(**kwargs)
 
 
 def _write_train_outputs(app: App, dataset, model, history, config, prov, suffix: str = ""):
@@ -339,7 +349,7 @@ def train_cmd(app: App):
         return
     summary = []
     for d in dims:
-        config = _train_config(section, seed, essence_dim=int(d))
+        config = _train_config(section, seed, essence_dim=d)
         model, history = train(dataset, config)
         best = _write_train_outputs(app, dataset, model, history, config, prov, suffix=f"_d{d}")
         summary.append((int(d), best))
@@ -407,9 +417,10 @@ def extract_templates(app: App):
         )
     kwargs = {k: section[k] for k in _GA_KEYS if k in section}
     kwargs["seed"] = seed
-    config = GAConfig(**kwargs)
+    with _config_section("ga"):
+        config = GAConfig(**kwargs)
     knots = section.get("knots")
-    template_set, history = evolve_templates(series, config, xs=knots, threads=app.threads)
+    template_set, history = evolve_templates(series, config, xs=knots)
     write_json(app.out / "templates.json", template_set.to_dict(), prov)
 
     def render_history(fh):
@@ -503,9 +514,7 @@ def evaluate(app: App):
     essence = _scalar_essence(app, dataset)
     albums = _subset(dataset, section.get("split", "test"))
     alpha = float(section.get("alpha", 0.05))
-    report = evaluate_templates(
-        albums, essence, template_set, seed=seed, alpha=alpha, threads=app.threads
-    )
+    report = evaluate_templates(albums, essence, template_set, seed=seed, alpha=alpha)
     write_json(app.out / "eval_report.json", report.to_dict(), prov)
 
     def render_scores(fh):

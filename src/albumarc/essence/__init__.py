@@ -1,25 +1,11 @@
 """Learned narrative-essence extraction via a contrastive ordering objective."""
 
 from .model import EssenceModel, ExtractorArch, ScorerArch
-from .objective import (
-    ContrastiveSet,
-    info_nce_loss,
-    mi_lower_bound,
-    pearson,
-    sample_contrastive_set,
-)
-from .training import (
-    Adam,
-    EpochStats,
-    TrainConfig,
-    mi_on_albums,
-    probe_feature_mi,
-    train,
-)
+from .objective import info_nce_loss, mi_lower_bound, pearson
+from .training import Adam, EpochStats, TrainConfig, probe_feature_mi, train
 
 __all__ = [
     "Adam",
-    "ContrastiveSet",
     "EpochStats",
     "EssenceModel",
     "ExtractorArch",
@@ -27,9 +13,7 @@ __all__ = [
     "TrainConfig",
     "info_nce_loss",
     "mi_lower_bound",
-    "mi_on_albums",
     "pearson",
     "probe_feature_mi",
-    "sample_contrastive_set",
     "train",
 ]

@@ -13,19 +13,19 @@ import numpy as np
 
 
 class Tensor:
-    """A node in the computation graph."""
+    """A node in the computation graph.  A leaf needs a gradient unless built
+    with ``requires_grad=False``; an op's output needs one if an input does."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, parents=(), backward=None):
+    def __init__(self, data, parents=(), backward=None, requires_grad=True):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
+        if parents:
+            requires_grad = any([p.requires_grad for p in parents])
+        self.requires_grad = requires_grad
         self._parents = parents
-        self._backward = backward
-
-    @property
-    def shape(self):
-        return self.data.shape
+        self._backward = backward if requires_grad else None
 
     def __add__(self, other):
         return add(self, other)
@@ -47,10 +47,13 @@ class Tensor:
 
 
 def as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+    """``value`` itself if it is a Tensor, else a constant holding it."""
+    return value if isinstance(value, Tensor) else Tensor(value, requires_grad=False)
 
 
 def _accumulate(t: Tensor, grad: np.ndarray) -> None:
+    if not t.requires_grad:
+        return
     if t.grad is None:
         t.grad = np.array(grad, dtype=np.float64)
     else:
@@ -59,6 +62,8 @@ def _accumulate(t: Tensor, grad: np.ndarray) -> None:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -116,8 +121,10 @@ def matmul(a, b) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
 
     return Tensor(out_data, (a, b), backward)
 
@@ -143,26 +150,6 @@ def sigmoid(a) -> Tensor:
 
     def backward(g):
         _accumulate(a, g * out_data * (1.0 - out_data))
-
-    return Tensor(out_data, (a,), backward)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        _accumulate(a, g * out_data)
-
-    return Tensor(out_data, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.log(a.data)
-
-    def backward(g):
-        _accumulate(a, g / a.data)
 
     return Tensor(out_data, (a,), backward)
 
@@ -285,23 +272,21 @@ def broadcast_to(a, shape) -> Tensor:
 
 
 def backward(root: Tensor) -> None:
-    """Accumulate gradients of ``root`` (a scalar) into every graph node."""
+    """Accumulate gradients of ``root`` (a scalar) into every graph node that
+    requires one."""
     if root.data.size != 1:
         raise ValueError("backward() expects a scalar root")
     order: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
             order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            stack.append((parent, False))
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            stack.extend([(parent, False) for parent in node._parents if parent.requires_grad])
     root.grad = np.ones_like(root.data)
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:

@@ -6,6 +6,10 @@ The scorer sums a small pairwise-comparison net over adjacent elements of the
 (normalized) essence sequence, bracketed by learnable start and end tokens,
 and has no output nonlinearity.  Architectures are descriptor-driven so
 alternative extractors or scorers can be slotted in behind the same surface.
+
+Both nets have one forward, built on the autodiff graph: training
+differentiates it, while essence output and scoring read its value without a
+backward pass.
 """
 
 from __future__ import annotations
@@ -103,20 +107,8 @@ def unflatten_params(
     return params
 
 
-def score_sequences_np(sequences: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
-    """Scores (n_seq,) for a batch of sequences (n_seq, length, d), numpy path."""
-    seq = np.asarray(sequences, dtype=np.float64)
-    n_seq, length, d = seq.shape
-    start = np.broadcast_to(params["start_token"], (n_seq, 1, d))
-    end = np.broadcast_to(params["end_token"], (n_seq, 1, d))
-    ext = np.concatenate([start, seq, end], axis=1)
-    pairs = np.concatenate([ext[:, :-1, :], ext[:, 1:, :]], axis=2)
-    h = np.tanh(pairs @ params["w1"] + params["b1"])
-    return (h @ params["w2"] + params["b2"]).sum(axis=(1, 2))
-
-
 def score_sequences_graph(sequences: ad.Tensor, params: dict[str, ad.Tensor]) -> ad.Tensor:
-    """Scores (n_seq,) for a batch of sequences (n_seq, length, d), graph path."""
+    """Scores (n_seq,) for a batch of sequences (n_seq, length, d)."""
     n_seq, length, d = sequences.data.shape
     start = ad.broadcast_to(ad.reshape(params["start_token"], (1, 1, d)), (n_seq, 1, d))
     end = ad.broadcast_to(ad.reshape(params["end_token"], (1, 1, d)), (n_seq, 1, d))
@@ -169,8 +161,6 @@ class EssenceModel:
             scorer_params=init_params(sco.param_shapes(), rng, out_scale=0.01),
         )
 
-    # ---------------------------------------------------------------- numpy paths
-
     def standardize(self, flat_features: np.ndarray) -> np.ndarray:
         return (flat_features - self.input_mean) / self.input_std
 
@@ -179,10 +169,7 @@ class EssenceModel:
         x = np.atleast_2d(np.asarray(flat_features, dtype=np.float64))
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite track features")
-        p = self.extractor_params
-        h = np.tanh(self.standardize(x) @ p["w1"] + p["b1"])
-        logits = h @ p["w2"] + p["b2"]
-        return 1.0 / (1.0 + np.exp(-logits))
+        return self.extractor_graph(self.standardize(x), self.extractor_params).data
 
     def extract(self, track: TrackFeatures) -> np.ndarray:
         """Essence vector for one track; deterministic, entries in (0, 1)."""
@@ -198,19 +185,18 @@ class EssenceModel:
             raise ValueError("cannot score an empty sequence")
         if not np.all(np.isfinite(seq)):
             raise ValueError("non-finite sequence values")
-        return float(score_sequences_np(seq[None, :, :], self.scorer_params)[0])
-
-    # ------------------------------------------------------------ autodiff paths
+        return float(self.scorer_graph(ad.Tensor(seq[None, :, :]), self.scorer_params).data[0])
 
     def extractor_graph(
         self,
         x_std: np.ndarray,
-        params: dict[str, ad.Tensor],
+        params: dict[str, ad.Tensor | np.ndarray],
         dropout_mask: np.ndarray | None = None,
     ) -> ad.Tensor:
         """Essence tensor (n, d) from standardized inputs; ``dropout_mask`` is
-        a pre-scaled keep mask applied to the hidden layer during training."""
-        h = ad.tanh(ad.add(ad.matmul(ad.Tensor(x_std), params["w1"]), params["b1"]))
+        a pre-scaled keep mask applied to the hidden layer during training.
+        ``params`` may be plain arrays when no gradient is needed."""
+        h = ad.tanh(ad.add(ad.matmul(ad.as_tensor(x_std), params["w1"]), params["b1"]))
         if dropout_mask is not None:
             h = ad.mul(h, dropout_mask)
         return ad.sigmoid(ad.add(ad.matmul(h, params["w2"]), params["b2"]))

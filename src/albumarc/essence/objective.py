@@ -1,41 +1,18 @@
-"""Contrastive objective, mutual-information bound, and feature probes."""
+"""Contrastive objective, mutual-information bound, and feature probes.
+
+Joint training and the scorer-only probe build the same loss: z-scored values
+are gathered into N candidate orderings, scored, and the true order's
+log-softmax is taken (:func:`_ordering_loss`).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..core import Album
 from . import autodiff as ad
 from .model import EssenceModel, score_sequences_graph
 
 LN2 = float(np.log(2.0))
-
-
-@dataclass(frozen=True)
-class ContrastiveSet:
-    """N candidate sequences over one album; exactly one is in the true order.
-
-    ``sequences`` has shape (N, length, d); every sequence is a permutation of
-    the same multiset of essence vectors and all share one joint z-score
-    normalization.
-    """
-
-    sequences: np.ndarray
-    true_index: int
-
-    def __post_init__(self):
-        seq = np.asarray(self.sequences, dtype=np.float64)
-        if seq.ndim != 3:
-            raise ValueError("sequences must have shape (N, length, d)")
-        if not 0 <= self.true_index < seq.shape[0]:
-            raise ValueError("true_index out of range")
-        object.__setattr__(self, "sequences", seq)
-
-    @property
-    def n_sequences(self) -> int:
-        return self.sequences.shape[0]
 
 
 def info_nce_loss(scores, true_index: int) -> float:
@@ -73,17 +50,22 @@ def sample_negative_permutations(
     length: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """``count`` random non-identity permutations of range(length), drawn with
-    replacement; accidental identities are resampled."""
+    replacement; accidental identities are dropped and drawn again.
+
+    Rows are shuffled a block at a time by ``rng.permuted``, which takes the
+    same draws from ``rng`` as one ``rng.permutation(length)`` per row.
+    """
     if length < 2:
         raise ValueError("cannot permute a sequence of length < 2")
-    perms = np.empty((count, length), dtype=np.intp)
-    identity = np.arange(length)
-    for i in range(count):
-        perm = rng.permutation(length)
-        while np.array_equal(perm, identity):
-            perm = rng.permutation(length)
-        perms[i] = perm
-    return perms
+    identity = np.arange(length, dtype=np.intp)
+    blocks = [np.empty((0, length), dtype=np.intp)]
+    need = count
+    while need:
+        block = rng.permuted(np.tile(identity, (need, 1)), axis=1)
+        block = block[(block != identity).any(axis=1)]
+        blocks.append(block)
+        need -= len(block)
+    return np.concatenate(blocks)
 
 
 def contrastive_permutations(
@@ -99,17 +81,12 @@ def contrastive_permutations(
     return perms
 
 
-def sample_contrastive_set(
-    album: Album, model: EssenceModel, n_sequences: int, rng: np.random.Generator
-) -> ContrastiveSet:
-    """Build a contrastive set for an album from the model's essence values."""
-    if len(album) < 3:
-        raise ValueError(f"album {album.album_id!r} too short for contrastive sampling")
-    flat = np.stack([t.flat for t in album.tracks])
-    essence = model.extract_matrix(flat)
-    normalized = zscore_columns(essence)
-    perms = contrastive_permutations(len(album), n_sequences, rng)
-    return ContrastiveSet(sequences=normalized[perms], true_index=0)
+def _ordering_loss(normalized: ad.Tensor, perms: np.ndarray, scorer, sco_params) -> ad.Tensor:
+    """-log softmax(scores)[0] over the candidate orderings ``perms`` (N, length)
+    of the z-scored rows ``normalized``; row 0 of ``perms`` is the true order."""
+    scores = scorer(ad.gather_rows(normalized, perms), sco_params)
+    true_score = ad.narrow(scores, 0, 0, 1)
+    return ad.sub(ad.logsumexp(scores), ad.reshape(true_score, ()))
 
 
 def album_loss_graph(
@@ -130,11 +107,7 @@ def album_loss_graph(
     mean = ad.tmean(essence, axis=0, keepdims=True)
     centered = ad.sub(essence, mean)
     std = ad.sqrt(ad.add(ad.tmean(ad.square(centered), axis=0, keepdims=True), 1e-12))
-    normalized = ad.div(centered, std)
-    sequences = ad.gather_rows(normalized, perms)
-    scores = model.scorer_graph(sequences, sco_params)
-    true_score = ad.narrow(scores, 0, 0, 1)
-    return ad.sub(ad.logsumexp(scores), ad.reshape(true_score, ()))
+    return _ordering_loss(ad.div(centered, std), perms, model.scorer_graph, sco_params)
 
 
 def scorer_loss_graph(
@@ -144,10 +117,7 @@ def scorer_loss_graph(
 ) -> ad.Tensor:
     """Contrastive-loss graph with a fixed (already z-scored) value sequence;
     only the scorer parameters are in the graph."""
-    sequences = ad.gather_rows(ad.Tensor(values), perms)
-    scores = score_sequences_graph(sequences, sco_params)
-    true_score = ad.narrow(scores, 0, 0, 1)
-    return ad.sub(ad.logsumexp(scores), ad.reshape(true_score, ()))
+    return _ordering_loss(ad.as_tensor(values), perms, score_sequences_graph, sco_params)
 
 
 def pearson(a, b) -> float:

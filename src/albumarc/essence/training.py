@@ -5,10 +5,16 @@ Training is single-threaded and deterministic per seed: all randomness
 SeedSequence.  Validation uses contrastive sets whose permutations are fixed
 once before the first epoch, so the early-stopping signal is not inflated by
 per-epoch resampling luck.
+
+Joint training and the scorer-only probe run one loop, :func:`_fit`, over one
+contrastive-loss graph; validation evaluates that graph without dropout.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +27,11 @@ from .model import (
     ScorerArch,
     flatten_params,
     init_params,
-    score_sequences_np,
     unflatten_params,
 )
 from .objective import (
     album_loss_graph,
     contrastive_permutations,
-    info_nce_loss,
     mi_lower_bound,
     scorer_loss_graph,
     zscore_columns,
@@ -53,20 +57,23 @@ class TrainConfig:
     val_sets_per_album: int = 4
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind = numbers.Real if f.type == "float" else numbers.Integral
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+        for name in ("batch_size", "max_epochs", "patience", "essence_dim",
+                     "extractor_hidden", "scorer_hidden", "val_sets_per_album"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if self.n_sequences < 2:
             raise ValueError("n_sequences must be at least 2")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError("learning_rate must be finite and positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be positive")
-        if self.patience < 1:
-            raise ValueError("patience must be positive")
-        if self.essence_dim < 1:
-            raise ValueError("essence_dim must be positive")
-        if self.val_sets_per_album < 1:
-            raise ValueError("val_sets_per_album must be positive")
+        if not (math.isfinite(self.weight_decay_scorer) and self.weight_decay_scorer >= 0.0):
+            raise ValueError("weight_decay_scorer must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -107,29 +114,21 @@ def input_stats(albums) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def _usable(albums) -> list[Album]:
-    return [a for a in albums if len(a) >= 3]
+def _usable_splits(dataset) -> tuple[list[Album], list[Album]]:
+    """Train and validation albums long enough to permute (3+ tracks)."""
+    splits = []
+    for split in ("train", "validation"):
+        albums = [a for a in dataset.subset(split).albums if len(a) >= 3]
+        if not albums:
+            raise ValueError(f"{split} split has no usable albums")
+        splits.append(albums)
+    return splits[0], splits[1]
 
 
-def _fixed_validation_sets(
-    albums, n_sequences: int, sets_per_album: int, rng: np.random.Generator
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    sets = []
-    for album in albums:
-        flat = np.stack([t.flat for t in album.tracks])
-        for _ in range(sets_per_album):
-            perms = contrastive_permutations(len(album), n_sequences, rng)
-            sets.append((flat, perms))
-    return sets
-
-
-def _validation_loss(model: EssenceModel, val_sets) -> float:
-    losses = []
-    for flat, perms in val_sets:
-        normalized = zscore_columns(model.extract_matrix(flat))
-        scores = score_sequences_np(normalized[perms], model.scorer_params)
-        losses.append(info_nce_loss(scores, 0))
-    return float(np.mean(losses))
+def _rngs(seed: int) -> list[np.random.Generator]:
+    """Initialization, batch (order, permutations, dropout) and validation
+    streams, in that order."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
 
 
 def _grad_vector(tensors: dict[str, ad.Tensor], shapes) -> np.ndarray:
@@ -149,84 +148,86 @@ def _decay_mask(shapes) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def train(dataset, config: TrainConfig) -> tuple[EssenceModel, list[EpochStats]]:
-    """Jointly train extractor and scorer; returns the best-validation model.
+class _Net:
+    """One network's parameters with their own Adam state; ``decay`` marks the
+    net whose weight matrices take the scorer weight decay."""
 
-    Raises TrainingDiverged if the loss goes non-finite.
+    def __init__(self, params: dict[str, np.ndarray], shapes, lr: float, decay: bool = False):
+        self.params = params
+        self.shapes = shapes
+        self.flat = flatten_params(params, shapes)
+        self.adam = Adam(self.flat.size, lr)
+        self.decay = _decay_mask(shapes) if decay else None
+
+    def tensors(self) -> dict[str, ad.Tensor]:
+        return {k: ad.Tensor(v) for k, v in self.params.items()}
+
+    def step(self, grad: np.ndarray, weight_decay: float) -> None:
+        if self.decay is not None:
+            grad += weight_decay * self.decay * self.flat
+        self.flat = self.adam.step(self.flat, grad)
+        self.params = unflatten_params(self.flat, self.shapes)
+
+
+def _fit(
+    loss_graph,
+    nets: list[_Net],
+    train_data: list[tuple[str, np.ndarray]],
+    val_data: list[tuple[str, np.ndarray]],
+    config: TrainConfig,
+    batch_rng: np.random.Generator,
+    val_rng: np.random.Generator,
+    dropout_width: int | None = None,
+) -> tuple[list[EpochStats], list[dict[str, np.ndarray]]]:
+    """Minimize the mean contrastive loss over minibatches of albums with
+    Adam, stopping early on the validation loss.
+
+    ``loss_graph(x, perms, params, dropout_mask)`` builds one album's loss
+    graph from its (length, ...) data ``x``, an (N, length) permutation
+    matrix, one dict of parameter tensors per net and an optional dropout
+    mask; ``*_data`` hold (album id, x) pairs.  When ``dropout_width`` is
+    given, each training album draws a (length, dropout_width) keep mask right
+    after its permutations.  Returns the history and each net's parameters at
+    the best validation epoch.
     """
-    train_albums = _usable(dataset.subset("train").albums)
-    val_albums = _usable(dataset.subset("validation").albums)
-    if not train_albums:
-        raise ValueError("train split has no usable albums")
-    if not val_albums:
-        raise ValueError("validation split has no usable albums")
-
-    seeds = np.random.SeedSequence(config.seed).spawn(3)
-    init_rng = np.random.default_rng(seeds[0])
-    batch_rng = np.random.default_rng(seeds[1])
-    val_rng = np.random.default_rng(seeds[2])
-
-    model = EssenceModel.initialize(
-        init_rng,
-        essence_dim=config.essence_dim,
-        extractor_hidden=config.extractor_hidden,
-        scorer_hidden=config.scorer_hidden,
-        dropout=config.dropout,
-    )
-    model.input_mean, model.input_std = input_stats(train_albums)
-
-    ext_shapes = model.extractor_arch.param_shapes()
-    sco_shapes = model.scorer_arch.param_shapes()
-    flat_ext = flatten_params(model.extractor_params, ext_shapes)
-    flat_sco = flatten_params(model.scorer_params, sco_shapes)
-    adam_ext = Adam(flat_ext.size, config.learning_rate)
-    adam_sco = Adam(flat_sco.size, config.learning_rate)
-    sco_decay = _decay_mask(sco_shapes)
-
-    x_std = [model.standardize(np.stack([t.flat for t in a.tracks])) for a in train_albums]
-    val_sets = _fixed_validation_sets(
-        val_albums, config.n_sequences, config.val_sets_per_album, val_rng
-    )
-
+    val_sets = [
+        (x, contrastive_permutations(len(x), config.n_sequences, val_rng))
+        for _, x in val_data
+        for _ in range(config.val_sets_per_album)
+    ]
     history: list[EpochStats] = []
     best_loss = np.inf
-    best_model = model.copy()
+    best_params = [net.params for net in nets]
     stale = 0
-    hidden = config.extractor_hidden
     for epoch in range(config.max_epochs):
-        order = batch_rng.permutation(len(train_albums))
+        order = batch_rng.permutation(len(train_data))
         epoch_losses = []
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            g_ext = np.zeros_like(flat_ext)
-            g_sco = np.zeros_like(flat_sco)
+            grads = [np.zeros_like(net.flat) for net in nets]
             for i in batch:
-                length = x_std[i].shape[0]
-                perms = contrastive_permutations(length, config.n_sequences, batch_rng)
+                album_id, x = train_data[i]
+                perms = contrastive_permutations(len(x), config.n_sequences, batch_rng)
                 mask = None
-                if config.dropout > 0.0:
-                    keep = batch_rng.random((length, hidden)) >= config.dropout
+                if dropout_width is not None and config.dropout > 0.0:
+                    keep = batch_rng.random((len(x), dropout_width)) >= config.dropout
                     mask = keep / (1.0 - config.dropout)
-                ext_t = {k: ad.Tensor(v) for k, v in model.extractor_params.items()}
-                sco_t = {k: ad.Tensor(v) for k, v in model.scorer_params.items()}
-                loss = album_loss_graph(model, x_std[i], perms, ext_t, sco_t, mask)
+                tensors = [net.tensors() for net in nets]
+                loss = loss_graph(x, perms, tensors, mask)
                 if not np.isfinite(loss.data):
                     raise TrainingDiverged(
-                        f"non-finite training loss at epoch {epoch}, album {train_albums[i].album_id!r}"
+                        f"non-finite training loss at epoch {epoch}, album {album_id!r}"
                     )
                 ad.backward(loss)
-                g_ext += _grad_vector(ext_t, ext_shapes)
-                g_sco += _grad_vector(sco_t, sco_shapes)
+                for grad, net, params in zip(grads, nets, tensors):
+                    grad += _grad_vector(params, net.shapes)
                 epoch_losses.append(float(loss.data))
-            g_ext /= len(batch)
-            g_sco /= len(batch)
-            g_sco += config.weight_decay_scorer * sco_decay * flat_sco
-            flat_ext = adam_ext.step(flat_ext, g_ext)
-            flat_sco = adam_sco.step(flat_sco, g_sco)
-            model.extractor_params = unflatten_params(flat_ext, ext_shapes)
-            model.scorer_params = unflatten_params(flat_sco, sco_shapes)
+            for grad, net in zip(grads, nets):
+                grad /= len(batch)
+                net.step(grad, config.weight_decay_scorer)
 
-        val_loss = _validation_loss(model, val_sets)
+        tensors = [net.tensors() for net in nets]
+        val_loss = float(np.mean([loss_graph(x, perms, tensors, None).data for x, perms in val_sets]))
         if not np.isfinite(val_loss):
             raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
         history.append(
@@ -239,13 +240,53 @@ def train(dataset, config: TrainConfig) -> tuple[EssenceModel, list[EpochStats]]
         )
         if val_loss < best_loss:
             best_loss = val_loss
-            best_model = model.copy()
+            # Steps replace each net's parameter arrays and never write into them.
+            best_params = [net.params for net in nets]
             stale = 0
         else:
             stale += 1
             if stale >= config.patience:
                 break
-    return best_model, history
+    return history, best_params
+
+
+def train(dataset, config: TrainConfig) -> tuple[EssenceModel, list[EpochStats]]:
+    """Jointly train extractor and scorer; returns the best-validation model.
+
+    Raises TrainingDiverged if the loss goes non-finite.
+    """
+    train_albums, val_albums = _usable_splits(dataset)
+    init_rng, batch_rng, val_rng = _rngs(config.seed)
+    model = EssenceModel.initialize(
+        init_rng,
+        essence_dim=config.essence_dim,
+        extractor_hidden=config.extractor_hidden,
+        scorer_hidden=config.scorer_hidden,
+        dropout=config.dropout,
+    )
+    model.input_mean, model.input_std = input_stats(train_albums)
+    nets = [
+        _Net(model.extractor_params, model.extractor_arch.param_shapes(), config.learning_rate),
+        _Net(model.scorer_params, model.scorer_arch.param_shapes(), config.learning_rate, decay=True),
+    ]
+
+    def standardized(albums):
+        return [(a.album_id, model.standardize(np.stack([t.flat for t in a.tracks]))) for a in albums]
+
+    def loss_graph(x_std, perms, params, dropout_mask):
+        return album_loss_graph(model, x_std, perms, *params, dropout_mask)
+
+    history, (model.extractor_params, model.scorer_params) = _fit(
+        loss_graph,
+        nets,
+        standardized(train_albums),
+        standardized(val_albums),
+        config,
+        batch_rng,
+        val_rng,
+        dropout_width=config.extractor_hidden,
+    )
+    return model, history
 
 
 def validation_mi(model: EssenceModel, history: list[EpochStats]) -> float:
@@ -255,22 +296,7 @@ def validation_mi(model: EssenceModel, history: list[EpochStats]) -> float:
     return max(h.val_mi_bits for h in history)
 
 
-def mi_on_albums(
-    model: EssenceModel,
-    albums,
-    n_sequences: int,
-    rng: np.random.Generator,
-    sets_per_album: int = 4,
-) -> float:
-    """MI bound in bits for a model on held-out albums (freshly sampled sets)."""
-    usable = _usable(albums)
-    if not usable:
-        raise ValueError("no usable albums")
-    sets = _fixed_validation_sets(usable, n_sequences, sets_per_album, rng)
-    return mi_lower_bound(_validation_loss(model, sets), n_sequences)
-
-
-def _normalized_album_values(albums, feature_values) -> list[np.ndarray]:
+def _normalized_album_values(albums, feature_values) -> list[tuple[str, np.ndarray]]:
     per_album = []
     for album in albums:
         try:
@@ -281,7 +307,7 @@ def _normalized_album_values(albums, feature_values) -> list[np.ndarray]:
             ) from None
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"non-finite feature value in album {album.album_id!r}")
-        per_album.append(zscore_columns(vals[:, None]))
+        per_album.append((album.album_id, zscore_columns(vals[:, None])))
     return per_album
 
 
@@ -291,68 +317,15 @@ def probe_feature_mi(dataset, feature_values: dict, config: TrainConfig) -> floa
     Trains only the scorer on z-scored sequences of the given values; the
     extractor is not involved.  Raises on albums with missing values.
     """
-    train_albums = _usable(dataset.subset("train").albums)
-    val_albums = _usable(dataset.subset("validation").albums)
-    if not train_albums:
-        raise ValueError("train split has no usable albums")
-    if not val_albums:
-        raise ValueError("validation split has no usable albums")
+    train_albums, val_albums = _usable_splits(dataset)
     train_vals = _normalized_album_values(train_albums, feature_values)
     val_vals = _normalized_album_values(val_albums, feature_values)
+    init_rng, batch_rng, val_rng = _rngs(config.seed)
+    shapes = ScorerArch(essence_dim=1, hidden=config.scorer_hidden).param_shapes()
+    scorer = _Net(init_params(shapes, init_rng, out_scale=0.01), shapes, config.learning_rate, decay=True)
 
-    seeds = np.random.SeedSequence(config.seed).spawn(3)
-    init_rng = np.random.default_rng(seeds[0])
-    batch_rng = np.random.default_rng(seeds[1])
-    val_rng = np.random.default_rng(seeds[2])
+    def loss_graph(values, perms, params, dropout_mask):
+        return scorer_loss_graph(values, perms, params[0])
 
-    arch = ScorerArch(essence_dim=1, hidden=config.scorer_hidden)
-    shapes = arch.param_shapes()
-    params = init_params(shapes, init_rng, out_scale=0.01)
-    flat = flatten_params(params, shapes)
-    adam = Adam(flat.size, config.learning_rate)
-    decay = _decay_mask(shapes)
-
-    val_sets = []
-    for vals in val_vals:
-        for _ in range(config.val_sets_per_album):
-            perms = contrastive_permutations(vals.shape[0], config.n_sequences, val_rng)
-            val_sets.append((vals, perms))
-
-    def val_loss_now() -> float:
-        losses = [
-            info_nce_loss(score_sequences_np(vals[perms], params), 0)
-            for vals, perms in val_sets
-        ]
-        return float(np.mean(losses))
-
-    best_loss = np.inf
-    stale = 0
-    for epoch in range(config.max_epochs):
-        order = batch_rng.permutation(len(train_vals))
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            g = np.zeros_like(flat)
-            for i in batch:
-                vals = train_vals[i]
-                perms = contrastive_permutations(vals.shape[0], config.n_sequences, batch_rng)
-                sco_t = {k: ad.Tensor(v) for k, v in params.items()}
-                loss = scorer_loss_graph(vals, perms, sco_t)
-                if not np.isfinite(loss.data):
-                    raise TrainingDiverged(f"non-finite probe loss at epoch {epoch}")
-                ad.backward(loss)
-                g += _grad_vector(sco_t, shapes)
-            g /= len(batch)
-            g += config.weight_decay_scorer * decay * flat
-            flat = adam.step(flat, g)
-            params = unflatten_params(flat, shapes)
-        loss = val_loss_now()
-        if not np.isfinite(loss):
-            raise TrainingDiverged(f"non-finite probe validation loss at epoch {epoch}")
-        if loss < best_loss:
-            best_loss = loss
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-    return mi_lower_bound(best_loss, config.n_sequences)
+    history, _ = _fit(loss_graph, [scorer], train_vals, val_vals, config, batch_rng, val_rng)
+    return mi_lower_bound(min(h.val_loss for h in history), config.n_sequences)

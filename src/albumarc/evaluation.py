@@ -10,7 +10,7 @@ shuffling the album's essence values.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +19,8 @@ from scipy import stats
 from .core import Ordering, normalize_minmax
 from .fitcurve import fit_ordering
 from .templates import TemplateSet
+
+log = logging.getLogger(__name__)
 
 COMPARISONS = ("learned_vs_random", "learned_vs_shuffled")
 
@@ -200,40 +202,33 @@ def evaluate_templates(
     template_set: TemplateSet,
     seed: int = 0,
     alpha: float = 0.05,
-    threads: int = 1,
 ) -> EvalReport:
     """Score a template set on a dataset against both baselines.
 
     Deterministic for a given seed: each album gets its own RNG stream split
-    from the master seed, so thread count cannot change results.  The paired
-    tests fall back to p = 1 when a comparison is fully degenerate (every
-    per-album difference exactly zero).
+    from the master seed.  A paired test that is degenerate (fewer than two
+    albums, or every per-album difference exactly zero) falls back to p = 1
+    and logs a warning naming the comparison.
     """
     series = _album_series(dataset, essence_by_track)
     if not series:
         raise ValueError("no albums to evaluate")
     curves = template_set.curves()
     seeds = np.random.SeedSequence(seed).spawn(len(series))
-
-    def worker(i: int) -> AlbumEval:
-        album_id, values = series[i]
-        return _evaluate_album(album_id, values, curves, np.random.default_rng(seeds[i]))
-
-    indices = range(len(series))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            evals = list(pool.map(worker, indices))
-    else:
-        evals = [worker(i) for i in indices]
+    evals = [
+        _evaluate_album(album_id, values, curves, np.random.default_rng(album_seed))
+        for (album_id, values), album_seed in zip(series, seeds)
+    ]
 
     learned = np.array([e.learned_score for e in evals])
     random_scores = np.array([e.random_score for e in evals])
     shuffled = np.array([e.shuffled_score for e in evals])
     p_values = []
-    for baseline in (random_scores, shuffled):
+    for name, baseline in zip(COMPARISONS, (random_scores, shuffled)):
         try:
             p_values.append(paired_t_test(learned, baseline))
-        except ValueError:
+        except ValueError as exc:
+            log.warning("paired t-test %s falls back to p = 1: %s", name, exc)
             p_values.append(1.0)
     rejections = holm_bonferroni(p_values, alpha)
     return EvalReport(

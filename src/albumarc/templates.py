@@ -11,7 +11,6 @@ matrix products per distinct album length.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,16 +140,8 @@ def _length_groups(values_list: list[np.ndarray], xs: np.ndarray):
     return groups
 
 
-def _population_cost(population: np.ndarray, groups, threads: int = 1) -> np.ndarray:
+def _population_cost(population: np.ndarray, groups) -> np.ndarray:
     """Summed per-album fitting cost for every individual, shape (m,)."""
-    if threads > 1 and population.shape[0] > 1:
-        chunks = np.array_split(np.arange(population.shape[0]), threads)
-        chunks = [c for c in chunks if c.size]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(
-                pool.map(lambda c: _population_cost(population[c], groups), chunks)
-            )
-        return np.concatenate(parts)
     m, k, q = population.shape
     normalized = _renorm_rows(population.reshape(m * k, q))
     total = np.zeros(m)
@@ -183,7 +174,6 @@ def evolve_templates(
     albums,
     config: GAConfig,
     xs=None,
-    threads: int = 1,
 ) -> tuple[TemplateSet, np.ndarray]:
     """Evolve a template set minimizing the summed fitting cost.
 
@@ -206,7 +196,7 @@ def evolve_templates(
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
 
     population = rng.standard_normal((s, k, q))
-    costs = _population_cost(population, groups, threads)
+    costs = _population_cost(population, groups)
     order = np.argsort(costs, kind="stable")
     population, costs = population[order], costs[order]
 
@@ -220,7 +210,7 @@ def evolve_templates(
         take_father = rng.random((b, k, q)) < config.crossover_prob
         children = np.where(take_father, population[fathers], population[mothers])
         children = children + sigma * rng.standard_normal((b, k, q))
-        child_costs = _population_cost(children, groups, threads)
+        child_costs = _population_cost(children, groups)
 
         population = np.concatenate([population, children])
         costs = np.concatenate([costs, child_costs])

@@ -341,6 +341,31 @@ class TestErrors:
         assert result.returncode == 2
         assert "paths.essence or paths.model" in result.stderr
 
+    def test_malformed_config_values(self, workspace, tmp_path):
+        # Wrong-typed or out-of-range values fail as config errors (exit 2)
+        # naming their section, not as tracebacks or silent dead runs.
+        _, out, config, _, _ = workspace
+        cases = [
+            ("train", "train", {"batch_size": "16"}),
+            ("train", "train", {"extractor_hidden": 0}),
+            ("train", "train", {"learning_rate": -1.0}),
+            ("extract-templates", "ga", {"generations": "many"}),
+            ("synth", "synth", {"n_albums": "many"}),
+        ]
+        for command, section, patch in cases:
+            doc = json.loads(config.read_text())
+            doc["paths"] = {
+                "dataset": str(out / "dataset.csv"),
+                "model": str(out / "model.json"),
+            }
+            doc[section].update(patch)
+            bad = tmp_path / "malformed.json"
+            bad.write_text(json.dumps(doc))
+            result = run("--config", str(bad), "--out", str(tmp_path), command)
+            assert result.returncode == 2, (patch, result.stderr)
+            assert f"config section {section!r}" in result.stderr
+            assert "Traceback" not in result.stderr
+
 
 class TestMisc:
     def test_version_and_help(self):

@@ -1,5 +1,7 @@
 """Contrastive objective, extractor/scorer networks, training, and probes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,29 +14,26 @@ from albumarc.essence.model import (
     ScorerArch,
     flatten_params,
     init_params,
-    score_sequences_np,
     unflatten_params,
 )
 from albumarc.essence.objective import (
     LN2,
-    ContrastiveSet,
     album_loss_graph,
     contrastive_permutations,
     info_nce_loss,
     mi_lower_bound,
     pearson,
-    sample_contrastive_set,
     sample_negative_permutations,
     zscore_columns,
 )
 from albumarc.essence.training import (
     input_stats,
-    mi_on_albums,
     probe_feature_mi,
     validation_mi,
 )
 from albumarc.ingest import SynthConfig, synth_generate
 
+import essence_oracle as oracle
 from conftest import essence_map
 
 
@@ -154,35 +153,34 @@ class TestZscoreAndPermutations:
 
 
 class TestContrastiveSet:
+    """The N candidate sequences that ``album_loss_graph`` scores."""
+
     def test_true_sequence_is_ground_truth_order(self):
+        # The loss is -log softmax over candidates whose row 0 is the album's
+        # z-scored essence in its ground-truth order.
         rng = np.random.default_rng(7)
         album = make_album("a", 5, rng)
         model = tiny_model(in_dim=525)
-        cs = sample_contrastive_set(album, model, 8, rng)
-        assert cs.n_sequences == 8
         flat = np.stack([t.flat for t in album.tracks])
-        expected = zscore_columns(model.extract_matrix(flat))
-        np.testing.assert_allclose(cs.sequences[cs.true_index], expected, atol=1e-12)
+        perms = contrastive_permutations(5, 8, rng)
+        loss = album_loss_graph(
+            model, model.standardize(flat), perms, model.extractor_params, model.scorer_params
+        )
+        normalized = zscore_columns(model.extract_matrix(flat))
+        scores = np.array([model.score_sequence(normalized[p]) for p in perms])
+        assert float(loss.data) == pytest.approx(info_nce_loss(scores, 0), abs=1e-12)
+        np.testing.assert_array_equal(normalized[perms[0]], normalized)
 
     def test_all_sequences_share_one_multiset(self):
         rng = np.random.default_rng(8)
         album = make_album("a", 4, rng)
-        cs = sample_contrastive_set(album, tiny_model(in_dim=525), 6, rng)
-        base = np.sort(cs.sequences[0], axis=0)
-        for seq in cs.sequences:
+        flat = np.stack([t.flat for t in album.tracks])
+        sequences = zscore_columns(tiny_model(in_dim=525).extract_matrix(flat))[
+            contrastive_permutations(4, 6, rng)
+        ]
+        base = np.sort(sequences[0], axis=0)
+        for seq in sequences:
             np.testing.assert_allclose(np.sort(seq, axis=0), base, atol=0)
-
-    def test_short_album_rejected(self):
-        rng = np.random.default_rng(9)
-        album = make_album("a", 2, rng)
-        with pytest.raises(ValueError, match="too short"):
-            sample_contrastive_set(album, tiny_model(in_dim=525), 4, rng)
-
-    def test_bad_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            ContrastiveSet(sequences=np.zeros((4, 3)), true_index=0)
-        with pytest.raises(ValueError):
-            ContrastiveSet(sequences=np.zeros((4, 3, 1)), true_index=4)
 
 
 class TestExtractor:
@@ -217,6 +215,16 @@ class TestExtractor:
         out = model.extract_matrix(flat)
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
+    def test_saturated_output_stays_finite_without_warnings(self):
+        model = tiny_model(in_dim=525)
+        model.extractor_params["b2"][:] = -800.0
+        flat = np.random.default_rng(41).standard_normal((6, 525))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = model.extract_matrix(flat)
+        assert np.all(np.isfinite(out))
+        assert np.all(out >= 0.0) and np.all(out < 1.0)
+
     def test_non_finite_rejected(self):
         model = tiny_model(in_dim=525)
         bad = np.zeros((1, 525))
@@ -245,7 +253,7 @@ class TestScorer:
         model = tiny_model(d=2)
         rng = np.random.default_rng(14)
         seqs = rng.standard_normal((5, 4, 2))
-        batch = score_sequences_np(seqs, model.scorer_params)
+        batch = oracle.score_sequences_np(seqs, model.scorer_params)
         singles = [model.score_sequence(s) for s in seqs]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
@@ -256,7 +264,7 @@ class TestScorer:
         params_t = {k: ad.Tensor(v) for k, v in model.scorer_params.items()}
         graph = model.scorer_graph(ad.Tensor(seqs), params_t)
         np.testing.assert_allclose(
-            graph.data, score_sequences_np(seqs, model.scorer_params), atol=1e-12
+            graph.data, oracle.score_sequences_np(seqs, model.scorer_params), atol=1e-12
         )
 
     def test_empty_sequence_rejected(self):
@@ -411,6 +419,27 @@ class TestTraining:
             TrainConfig(n_sequences=1)
         with pytest.raises(ValueError):
             TrainConfig(dropout=1.5)
+        for bad in (
+            dict(extractor_hidden=0),
+            dict(scorer_hidden=0),
+            dict(learning_rate=0.0),
+            dict(learning_rate=-1e-3),
+            dict(learning_rate=float("nan")),
+            dict(learning_rate=float("inf")),
+            dict(weight_decay_scorer=-1e-5),
+            dict(weight_decay_scorer=float("nan")),
+        ):
+            with pytest.raises(ValueError):
+                TrainConfig(**bad)
+        for bad in (
+            dict(batch_size="16"),
+            dict(batch_size=16.5),
+            dict(learning_rate="1e-3"),
+            dict(max_epochs=None),
+            dict(patience=True),
+        ):
+            with pytest.raises(TypeError):
+                TrainConfig(**bad)
 
 
 class TestProbes:
@@ -480,15 +509,117 @@ class TestPearson:
 
 
 class TestMiOnAlbums:
+    """The reference MI bound on freshly drawn sets, from the oracle."""
+
     def test_matches_manual_curve(self, planted_dataset, default_trained):
         model, _ = default_trained
         val = planted_dataset.subset("validation").albums
         rng = np.random.default_rng(25)
-        mi = mi_on_albums(model, val, 32, rng)
+        mi = oracle.mi_on_albums(model, val, 32, rng)
         assert np.isfinite(mi)
         assert mi > 1.0  # trained model is far above chance on held-out albums
 
     def test_no_usable_albums(self, default_trained):
         model, _ = default_trained
         with pytest.raises(ValueError):
-            mi_on_albums(model, [], 32, np.random.default_rng(0))
+            oracle.mi_on_albums(model, [], 32, np.random.default_rng(0))
+
+
+@pytest.fixture(scope="module")
+def small_dataset():
+    return synth_generate(SynthConfig(n_albums=20, length_range=(3, 8), seed=31))
+
+
+class TestAgainstOracle:
+    """The graph forward and the single training loop reproduce the numpy
+    forward and the two loops kept in ``essence_oracle``."""
+
+    def test_graph_forward_matches_numpy_reference(self):
+        rng = np.random.default_rng(40)
+        for _ in range(30):
+            d = int(rng.integers(1, 4))
+            model = tiny_model(
+                rng, d=d, in_dim=525, hidden=int(rng.integers(2, 40)),
+                scorer_hidden=int(rng.integers(2, 16)),
+            )
+            model.extractor_params["b2"] = 3.0 * rng.standard_normal(d)
+            model.scorer_params = init_params(model.scorer_arch.param_shapes(), rng)
+            model.input_mean = rng.standard_normal(525)
+            model.input_std = rng.uniform(0.5, 2.0, 525)
+            flat = 3.0 * rng.standard_normal((int(rng.integers(1, 21)), 525))
+            np.testing.assert_allclose(
+                model.extract_matrix(flat), oracle.extract_matrix_np(model, flat), rtol=0, atol=1e-15
+            )
+            seqs = rng.standard_normal((int(rng.integers(1, 33)), int(rng.integers(1, 21)), d))
+            np.testing.assert_allclose(
+                [model.score_sequence(s) for s in seqs],
+                oracle.score_sequences_np(seqs, model.scorer_params),
+                rtol=0,
+                atol=1e-12,
+            )
+
+    def test_negative_permutations_match_oracle_draws(self):
+        # Block shuffling yields the oracle's one-permutation-per-draw rows,
+        # identities redrawn in place, and leaves the stream where it did.
+        for length in range(2, 21):
+            for count in (1, 31, 200):
+                mine = np.random.default_rng([length, count])
+                ref = np.random.default_rng([length, count])
+                np.testing.assert_array_equal(
+                    sample_negative_permutations(length, count, mine),
+                    oracle.sample_negative_permutations(length, count, ref),
+                )
+                assert mine.random() == ref.random()
+
+    @staticmethod
+    def assert_same_training(ds, cfg):
+        model, history = train(ds, cfg)
+        ref_model, ref_history = oracle.train(ds, cfg)
+        assert len(history) == len(ref_history)
+        assert [h.train_loss for h in history] == [h.train_loss for h in ref_history]
+        np.testing.assert_allclose(
+            [h.val_loss for h in history], [h.val_loss for h in ref_history], rtol=0, atol=1e-12
+        )
+        for mine, ref in (
+            (model.extractor_params, ref_model.extractor_params),
+            (model.scorer_params, ref_model.scorer_params),
+        ):
+            assert mine.keys() == ref.keys()
+            for key in mine:
+                np.testing.assert_array_equal(mine[key], ref[key])
+        np.testing.assert_array_equal(model.input_mean, ref_model.input_mean)
+        np.testing.assert_array_equal(model.input_std, ref_model.input_std)
+        return history
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_train_matches_oracle(self, small_dataset, seed, d, dropout):
+        cfg = TrainConfig(seed=seed, essence_dim=d, dropout=dropout, max_epochs=3, patience=3)
+        self.assert_same_training(small_dataset, cfg)
+
+    def test_early_stop_matches_oracle(self, small_dataset):
+        # A large step makes the validation loss bounce, so patience 1 stops
+        # the run before max_epochs.
+        cfg = TrainConfig(seed=3, learning_rate=0.05, max_epochs=12, patience=1, extractor_hidden=16)
+        history = self.assert_same_training(small_dataset, cfg)
+        assert len(history) < cfg.max_epochs
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_probe_matches_oracle(self, small_dataset, seed, d, dropout):
+        # The probe has no extractor: d and dropout must not change its draws.
+        cfg = TrainConfig(seed=seed, essence_dim=d, dropout=dropout, max_epochs=3, patience=3)
+        for feature in ("latent", "noise"):
+            values = small_dataset.scalar_features[feature]
+            assert probe_feature_mi(small_dataset, values, cfg) == pytest.approx(
+                oracle.probe_feature_mi(small_dataset, values, cfg), rel=0, abs=1e-10
+            )
+
+    def test_probe_early_stop_matches_oracle(self, small_dataset):
+        cfg = TrainConfig(seed=3, learning_rate=0.05, max_epochs=12, patience=1)
+        values = small_dataset.scalar_features["latent"]
+        assert probe_feature_mi(small_dataset, values, cfg) == pytest.approx(
+            oracle.probe_feature_mi(small_dataset, values, cfg), rel=0, abs=1e-10
+        )
