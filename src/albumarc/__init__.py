@@ -7,86 +7,33 @@ template with an optimal-assignment fit, and validates templates against
 ground-truth orderings.
 """
 
-from .core import (
-    Album,
-    EssenceSeries,
-    Ordering,
-    TrackFeatures,
-    normalize_minmax,
-    normalize_zscore,
-    relative_positions,
-)
+from .core import Ordering
 from .errors import AlbumArcError, ConfigError, IngestError, TrainingDiverged
-from .essence import (
-    EssenceModel,
-    TrainConfig,
-    info_nce_loss,
-    mi_lower_bound,
-    pearson,
-    probe_feature_mi,
-    train,
-)
-from .evaluation import (
-    EvalReport,
-    evaluate_templates,
-    holm_bonferroni,
-    levenshtein,
-    paired_t_test,
-    string_edit_score,
-)
-from .fitcurve import FitResult, fit_ordering, sample_template
-from .ingest import (
-    Dataset,
-    SynthConfig,
-    filter_albums,
-    load_feature_table,
-    load_scalar_table,
-    synth_generate,
-)
-from .spline import TemplateCurve, build_spline, eval_curve
-from .templates import GAConfig, TemplateSet, evolve_templates, template_cost
+from .essence import TrainConfig, train
+from .evaluation import EvalReport, evaluate_templates
+from .fitcurve import FitResult, fit_ordering
+from .ingest import SynthConfig, synth_generate
+from .spline import build_spline
+from .templates import GAConfig, TemplateSet, evolve_templates
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Album",
     "AlbumArcError",
     "ConfigError",
-    "Dataset",
-    "EssenceModel",
-    "EssenceSeries",
     "EvalReport",
     "FitResult",
     "GAConfig",
     "IngestError",
     "Ordering",
     "SynthConfig",
-    "TemplateCurve",
     "TemplateSet",
-    "TrackFeatures",
     "TrainConfig",
     "TrainingDiverged",
     "build_spline",
-    "eval_curve",
     "evaluate_templates",
     "evolve_templates",
-    "filter_albums",
     "fit_ordering",
-    "holm_bonferroni",
-    "info_nce_loss",
-    "levenshtein",
-    "load_feature_table",
-    "load_scalar_table",
-    "mi_lower_bound",
-    "normalize_minmax",
-    "normalize_zscore",
-    "paired_t_test",
-    "pearson",
-    "probe_feature_mi",
-    "relative_positions",
-    "sample_template",
-    "string_edit_score",
     "synth_generate",
-    "template_cost",
     "train",
 ]

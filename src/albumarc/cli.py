@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .core import EssenceSeries, normalize_minmax
+from .core import album_values, check_type, normalize_minmax
 from .errors import AlbumArcError, ConfigError, IngestError
 from .essence import EssenceModel, TrainConfig, probe_feature_mi, train
 from .evaluation import evaluate_templates, plot_rows
@@ -93,10 +93,14 @@ class App:
     def section(self, name: str) -> dict:
         return self.config.get(name, {})
 
-    def effective_seed(self, section: dict) -> int:
+    def effective_seed(self, name: str | None = None) -> int:
+        """--seed if given, else the seed of section ``name`` (default 0)."""
         if self.seed is not None:
             return self.seed
-        return int(section.get("seed", 0))
+        seed = self.section(name).get("seed", 0) if name else 0
+        with _config_section(name):
+            check_type("seed", seed, "int")
+        return seed
 
     def provenance(self, seed: int) -> dict:
         return {"config_sha256": self.hash, "seed": seed}
@@ -153,6 +157,18 @@ def _config_section(name: str):
         raise ConfigError(f"config section {name!r}: {exc}") from None
 
 
+def _section_config(app: App, name: str, cls, **overrides):
+    """The config dataclass ``cls`` built from section ``name``: the section's
+    values for ``cls``'s fields (JSON arrays as tuples), the effective seed,
+    then ``overrides``."""
+    section = app.section(name)
+    with _config_section(name):
+        kwargs = {f.name: section[f.name] for f in dataclasses.fields(cls) if f.name in section}
+        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in kwargs.items()}
+        kwargs.update(seed=app.effective_seed(name), **overrides)
+        return cls(**kwargs)
+
+
 def _read_input_json(path: Path) -> dict:
     try:
         return read_json(path)
@@ -172,49 +188,58 @@ def _load_templates(app: App) -> TemplateSet:
         raise ConfigError(f"{app.path('templates')}: bad templates file: {exc}") from None
 
 
+def _extract_essence(model: EssenceModel, dataset: Dataset) -> tuple[list[str], np.ndarray]:
+    """Track ids and their (n, d) essence, one extractor pass per album."""
+    track_ids = [t.track_id for album in dataset.albums for t in album.tracks]
+    values = np.vstack(
+        [model.extract_matrix(np.stack([t.flat for t in album.tracks])) for album in dataset.albums]
+    )
+    return track_ids, values
+
+
+def _scalar_column(source: Path, values: np.ndarray) -> np.ndarray:
+    if values.shape[1] != 1:
+        raise ConfigError(f"{source}: need scalar essence (one essence column), got d={values.shape[1]}")
+    return values[:, 0]
+
+
 def _scalar_essence(app: App, dataset: Dataset) -> dict:
-    """track_id -> scalar essence, from paths.essence CSV or paths.model."""
-    essence_path = app.path("essence", required=False)
-    if essence_path is not None:
-        track_ids, values = load_essence_csv(essence_path)
-        if values.shape[1] != 1:
-            raise ConfigError(
-                f"{essence_path}: template fitting needs scalar essence, got d={values.shape[1]}"
-            )
-        return {tid: float(v) for tid, v in zip(track_ids, values[:, 0])}
-    model_path = app.path("model", required=False)
-    if model_path is None:
-        raise ConfigError("config needs paths.essence or paths.model")
-    model = EssenceModel.from_dict(_read_input_json(model_path))
-    if model.essence_dim != 1:
-        raise ConfigError(
-            f"{model_path}: template fitting needs a d=1 model, got d={model.essence_dim}"
-        )
-    essence = {}
-    for album in dataset.albums:
-        flat = np.stack([t.flat for t in album.tracks])
-        for track, value in zip(album.tracks, model.extract_matrix(flat)[:, 0]):
-            essence[track.track_id] = float(value)
-    return essence
+    """track_id -> scalar essence, from the paths.essence CSV, else from the
+    paths.model extractor run over ``dataset``."""
+    source = app.path("essence", required=False)
+    if source is not None:
+        track_ids, values = load_essence_csv(source)
+    else:
+        source = app.path("model", required=False)
+        if source is None:
+            raise ConfigError("config needs paths.essence or paths.model")
+        model = EssenceModel.from_dict(_read_input_json(source))
+        track_ids, values = _extract_essence(model, dataset)
+    return dict(zip(track_ids, _scalar_column(source, values).tolist()))
 
 
-def _subset(dataset: Dataset, split: str) -> Dataset:
-    if split == "all":
-        return dataset
-    sub = dataset.subset(split)
-    if not len(sub):
+def _split(app: App, dataset: Dataset, name: str, default: str) -> Dataset:
+    """The albums in section ``name``'s split; "all" keeps every album."""
+    split = app.section(name).get("split", default)
+    if split != "all":
+        with _config_section(name):
+            dataset = dataset.subset(split)
+    if not len(dataset):
         raise ConfigError(f"dataset has no albums in split {split!r}")
-    return sub
+    return dataset
 
 
 def _album_essence_input(app: App) -> tuple[list[str] | None, np.ndarray]:
     path = app.path("essence")
     track_ids, values = load_essence_csv(path)
-    if values.shape[1] != 1:
-        raise ConfigError(f"{path}: need scalar essence (one essence column)")
     if values.shape[0] < 2:
         raise ConfigError(f"{path}: need at least 2 tracks to fit an ordering")
-    return track_ids, values[:, 0]
+    return track_ids, _scalar_column(path, values)
+
+
+def _check_template_index(template_set: TemplateSet, index: int) -> None:
+    if not 0 <= index < template_set.n_templates:
+        raise ConfigError(f"template index {index} out of range (k={template_set.n_templates})")
 
 
 def _fit_doc(index: int, result, track_ids: list[str] | None) -> dict:
@@ -262,18 +287,12 @@ def cli(ctx, config_path, seed, out_dir):
 @click.pass_obj
 def synth(app: App):
     """Generate a synthetic dataset with a planted narrative arc."""
-    section = app.section("synth")
-    seed = app.effective_seed(section)
+    config = _section_config(app, "synth", SynthConfig)
+    shuffle_orders = app.section("synth").get("shuffle_orders", False)
     with _config_section("synth"):
-        config = SynthConfig(
-            n_albums=int(section.get("n_albums", 200)),
-            length_range=tuple(section.get("length_range", (3, 20))),
-            latent_shape=section.get("latent_shape", "rising"),
-            noise_sigma=float(section.get("noise_sigma", 0.0)),
-            seed=seed,
-        )
-    dataset = synth_generate(config, shuffle_orders=bool(section.get("shuffle_orders", False)))
-    prov = app.provenance(seed)
+        check_type("shuffle_orders", shuffle_orders, "bool")
+    dataset = synth_generate(config, shuffle_orders=shuffle_orders)
+    prov = app.provenance(config.seed)
     write_table(app.out / "dataset.csv", lambda fh: write_feature_csv(dataset, fh), prov)
     write_table(
         app.out / "scalars.csv",
@@ -284,15 +303,6 @@ def synth(app: App):
         f"wrote {app.out / 'dataset.csv'}: {len(dataset)} albums, "
         f"{dataset.track_count()} tracks ({config.latent_shape}, noise {config.noise_sigma})"
     )
-
-
-def _train_config(section: dict, seed: int, essence_dim=None) -> TrainConfig:
-    kwargs = {k: section[k] for k in _TRAIN_KEYS if k in section}
-    kwargs["seed"] = seed
-    with _config_section("train"):
-        if essence_dim is not None:
-            kwargs["essence_dim"] = int(essence_dim)
-        return TrainConfig(**kwargs)
 
 
 def _write_train_outputs(app: App, dataset, model, history, config, prov, suffix: str = ""):
@@ -314,13 +324,7 @@ def _write_train_outputs(app: App, dataset, model, history, config, prov, suffix
 
     write_table(app.out / f"history{suffix}.csv", render_history, prov)
 
-    track_ids = []
-    rows = []
-    for album in dataset.albums:
-        flat = np.stack([t.flat for t in album.tracks])
-        rows.append(model.extract_matrix(flat))
-        track_ids.extend(t.track_id for t in album.tracks)
-    values = np.vstack(rows)
+    track_ids, values = _extract_essence(model, dataset)
     write_table(
         app.out / f"essence{suffix}.csv",
         lambda fh: write_essence_csv(track_ids, values, fh),
@@ -333,13 +337,11 @@ def _write_train_outputs(app: App, dataset, model, history, config, prov, suffix
 @click.pass_obj
 def train_cmd(app: App):
     """Train the essence extractor and sequence scorer."""
-    section = app.section("train")
-    seed = app.effective_seed(section)
-    prov = app.provenance(seed)
-    dataset = _load_dataset(app)
-    dims = section.get("dims")
+    dims = app.section("train").get("dims")
     if dims is None:
-        config = _train_config(section, seed)
+        config = _section_config(app, "train", TrainConfig)
+        prov = app.provenance(config.seed)
+        dataset = _load_dataset(app)
         model, history = train(dataset, config)
         best = _write_train_outputs(app, dataset, model, history, config, prov)
         click.echo(
@@ -347,12 +349,16 @@ def train_cmd(app: App):
             f"(epoch {best.epoch}, {len(history)} epochs run)"
         )
         return
+    with _config_section("train"):
+        configs = [_section_config(app, "train", TrainConfig, essence_dim=d) for d in dims]
+    prov = app.provenance(app.effective_seed("train"))
+    dataset = _load_dataset(app)
     summary = []
-    for d in dims:
-        config = _train_config(section, seed, essence_dim=d)
+    for config in configs:
+        d = config.essence_dim
         model, history = train(dataset, config)
         best = _write_train_outputs(app, dataset, model, history, config, prov, suffix=f"_d{d}")
-        summary.append((int(d), best))
+        summary.append((d, best))
         click.echo(f"d={d}: validation MI bound {best.val_mi_bits:.4f} bits")
 
     def render_summary(fh):
@@ -369,9 +375,8 @@ def train_cmd(app: App):
 @click.pass_obj
 def probe(app: App):
     """Estimate the order information carried by fixed scalar features."""
-    train_section = app.section("train")
-    seed = app.effective_seed(train_section)
-    prov = app.provenance(seed)
+    config = _section_config(app, "train", TrainConfig)
+    prov = app.provenance(config.seed)
     dataset = _load_dataset(app)
     scalars = load_scalar_table(app.path("scalars"))
     features = app.section("probe").get("features")
@@ -383,7 +388,6 @@ def probe(app: App):
             raise ConfigError(f"scalar feature {name!r} not present in scalars file")
         values = scalars[name]
         covered, dropped = drop_tracks_missing(dataset, values)
-        config = _train_config(train_section, seed)
         mi = probe_feature_mi(covered, values, config)
         results[name] = {"mi_bits": mi, "dropped_tracks": dropped}
         click.echo(f"{name}: {mi:.4f} bits ({dropped} tracks dropped)")
@@ -394,32 +398,12 @@ def probe(app: App):
 @click.pass_obj
 def extract_templates(app: App):
     """Evolve template curves over the learned essence sequences."""
-    section = app.section("ga")
-    seed = app.effective_seed(section)
-    prov = app.provenance(seed)
-    dataset = _load_dataset(app)
-    essence = _scalar_essence(app, dataset)
-    albums = _subset(dataset, section.get("split", "train"))
-    series = []
-    for album in albums.albums:
-        try:
-            values = np.array([essence[t.track_id] for t in album.tracks])
-        except KeyError as exc:
-            raise ConfigError(
-                f"missing essence for track {exc.args[0]!r} in album {album.album_id!r}"
-            ) from None
-        series.append(
-            EssenceSeries(
-                album_id=album.album_id,
-                values=normalize_minmax(values)[:, None],
-                normalization="minmax",
-            )
-        )
-    kwargs = {k: section[k] for k in _GA_KEYS if k in section}
-    kwargs["seed"] = seed
-    with _config_section("ga"):
-        config = GAConfig(**kwargs)
-    knots = section.get("knots")
+    config = _section_config(app, "ga", GAConfig)
+    prov = app.provenance(config.seed)
+    albums = _split(app, _load_dataset(app), "ga", "train")
+    essence = _scalar_essence(app, albums)
+    series = [normalize_minmax(values) for _, values in album_values(albums.albums, essence)]
+    knots = app.section("ga").get("knots")
     template_set, history = evolve_templates(series, config, xs=knots)
     write_json(app.out / "templates.json", template_set.to_dict(), prov)
 
@@ -443,10 +427,7 @@ def extract_templates(app: App):
 def fit(app: App, values_arg, template_index):
     """Fit one album's essence series to a single template curve."""
     template_set = _load_templates(app)
-    if not 0 <= template_index < template_set.n_templates:
-        raise ConfigError(
-            f"template index {template_index} out of range (k={template_set.n_templates})"
-        )
+    _check_template_index(template_set, template_index)
     if values_arg is not None:
         try:
             values = np.array([float(x) for x in values_arg.split(",")], dtype=np.float64)
@@ -456,7 +437,7 @@ def fit(app: App, values_arg, template_index):
     else:
         track_ids, values = _album_essence_input(app)
     result = fit_ordering(normalize_minmax(values), template_set.curves()[template_index])
-    seed = app.effective_seed({})
+    seed = app.effective_seed()
     write_json(app.out / "fit.json", _fit_doc(template_index, result, track_ids), app.provenance(seed))
     click.echo(
         f"template {template_index}: ordering {list(result.ordering.positions)} "
@@ -480,15 +461,12 @@ def reorder(app: App, template_arg):
             selected = [int(template_arg)]
         except ValueError:
             raise ConfigError(f'bad template selector {template_arg!r}; use an index or "all"') from None
-        if not 0 <= selected[0] < template_set.n_templates:
-            raise ConfigError(
-                f"template index {selected[0]} out of range (k={template_set.n_templates})"
-            )
+        _check_template_index(template_set, selected[0])
     track_ids, values = _album_essence_input(app)
     y = normalize_minmax(values)
     curves = template_set.curves()
     fits = [_fit_doc(p, fit_ordering(y, curves[p]), track_ids) for p in selected]
-    seed = app.effective_seed({})
+    seed = app.effective_seed()
     write_json(app.out / "orderings.json", {"orderings": fits}, app.provenance(seed))
     for doc in fits:
         click.echo(
@@ -501,28 +479,24 @@ def reorder(app: App, template_arg):
 @click.pass_obj
 def evaluate(app: App):
     """Score templates against ground-truth orderings and both baselines."""
-    section = app.section("evaluate")
-    seed = app.effective_seed(section)
+    seed = app.effective_seed("evaluate")
+    alpha = app.section("evaluate").get("alpha", 0.05)
+    with _config_section("evaluate"):
+        check_type("alpha", alpha, "float")
     prov = app.provenance(seed)
     dataset = _load_dataset(app)
     template_set = _load_templates(app)
     ga_k = app.section("ga").get("n_templates")
-    if ga_k is not None and int(ga_k) != template_set.n_templates:
+    if ga_k is not None and ga_k != template_set.n_templates:
         raise ConfigError(
             f"config ga.n_templates={ga_k} does not match templates file k={template_set.n_templates}"
         )
-    essence = _scalar_essence(app, dataset)
-    albums = _subset(dataset, section.get("split", "test"))
-    alpha = float(section.get("alpha", 0.05))
+    albums = _split(app, dataset, "evaluate", "test")
+    essence = _scalar_essence(app, albums)
     report = evaluate_templates(albums, essence, template_set, seed=seed, alpha=alpha)
-    write_json(app.out / "eval_report.json", report.to_dict(), prov)
-
-    def render_scores(fh):
-        fh.write("condition\tmean\tstderr\n")
-        for name, mean, stderr in plot_rows(report):
-            fh.write(f"{name}\t{_float_cell(mean)}\t{_float_cell(stderr)}\n")
-
-    write_table(app.out / "scores.tsv", render_scores, prov)
+    doc = report.to_dict()
+    write_json(app.out / "eval_report.json", doc, prov)
+    _write_scores(app, doc, prov)
     click.echo(
         f"mean scores: learned {report.mean_learned:.4f}, "
         f"random {report.mean_random:.4f}, shuffled {report.mean_shuffled:.4f}"
@@ -530,6 +504,17 @@ def evaluate(app: App):
     for name, p, rejected in zip(report.comparisons, report.p_values, report.rejections):
         verdict = "rejected" if rejected else "not rejected"
         click.echo(f"{name}: p={p:.3e}, null {verdict} at family alpha {report.alpha}")
+
+
+def _write_scores(app: App, report: dict, prov: dict) -> None:
+    """scores.tsv: bar-chart rows of an eval report document."""
+
+    def render(fh):
+        fh.write("condition\tmean\tstderr\n")
+        for name, mean, stderr in plot_rows(report):
+            fh.write(f"{name}\t{_float_cell(mean)}\t{_float_cell(stderr)}\n")
+
+    write_table(app.out / "scores.tsv", render, prov)
 
 
 _SVG_PALETTE = ("#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#d68910", "#117a65")
@@ -588,7 +573,7 @@ def _curves_svg(template_set: TemplateSet, samples: np.ndarray, grid: np.ndarray
 def plot_data(app: App):
     """Export template curves (TSV + SVG) and, if available, score bars."""
     template_set = _load_templates(app)
-    seed = app.effective_seed({})
+    seed = app.effective_seed()
     prov = app.provenance(seed)
     grid = np.linspace(0.0, 1.0, 201)
     samples = np.stack([curve(grid) for curve in template_set.curves()])
@@ -608,24 +593,8 @@ def plot_data(app: App):
     wrote = ["curves.tsv", "curves.svg"]
     if report_path is not None:
         doc = _read_input_json(report_path)
-        albums = doc.get("albums", [])
-        if albums:
-            def render_scores(fh):
-                fh.write("condition\tmean\tstderr\n")
-                for name, attr in (
-                    ("learned", "learned_score"),
-                    ("random_orderings", "random_score"),
-                    ("shuffled_essence", "shuffled_score"),
-                ):
-                    scores = np.array([a[attr] for a in albums], dtype=np.float64)
-                    stderr = (
-                        float(scores.std(ddof=1) / np.sqrt(scores.size))
-                        if scores.size > 1
-                        else 0.0
-                    )
-                    fh.write(f"{name}\t{_float_cell(scores.mean())}\t{_float_cell(stderr)}\n")
-
-            write_table(app.out / "scores.tsv", render_scores, prov)
+        if doc.get("albums"):
+            _write_scores(app, doc, prov)
             wrote.append("scores.tsv")
     click.echo(f"wrote {', '.join(wrote)} in {app.out}")
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import IngestError
 
 # Per-track feature layout: one row per audio feature, one column per global
 # statistic (mean, std, skew, kurtosis, median, min, max).
@@ -94,10 +98,6 @@ class EssenceSeries:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return 1 if self.values.ndim == 1 else self.values.shape[1]
-
     def scalars(self) -> np.ndarray:
         """The values as a 1-D array; requires scalar (d=1) essence."""
         if self.values.ndim == 1:
@@ -158,20 +158,68 @@ def normalize_minmax(values) -> np.ndarray:
     return (v - lo) / (hi - lo)
 
 
-def normalize_zscore(values) -> np.ndarray:
-    """Shift/scale ``values`` to mean 0 and population std 1.
-
-    A constant series maps to all zeros.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("cannot normalize an empty series")
+def minmax_series(values) -> np.ndarray:
+    """``values`` as a 1-D array, checked to be a min-max normalized scalar
+    series: an :class:`EssenceSeries` tagged ``"minmax"`` or a plain sequence,
+    with at least 2 finite values in [0, 1] (to within 1e-9)."""
+    if isinstance(values, EssenceSeries):
+        if values.normalization != "minmax":
+            raise ValueError(
+                f"album {values.album_id!r}: series must be min-max normalized, "
+                f"got {values.normalization!r}"
+            )
+        v = values.scalars()
+    else:
+        v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1 or v.shape[0] < 2:
+        raise ValueError(f"need at least 2 scalar values, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise ValueError("cannot normalize non-finite values")
-    std = v.std()  # population std (ddof=0)
-    if std == 0.0:
-        return np.zeros_like(v)
-    return (v - v.mean()) / std
+        raise ValueError("values must be finite")
+    if v.min() < -1e-9 or v.max() > 1.0 + 1e-9:
+        raise ValueError("values must lie in [0, 1]; min-max normalize first")
+    return v
+
+
+def album_values(albums, values_by_track: dict, what: str = "essence") -> list[tuple[str, np.ndarray]]:
+    """(album id, per-track values in track order) for each album, from a
+    track_id -> value map.  A track missing from the map, or a non-finite
+    value, raises IngestError naming the track or album."""
+    series = []
+    for album in albums:
+        try:
+            values = np.array([values_by_track[t.track_id] for t in album.tracks], dtype=np.float64)
+        except KeyError as exc:
+            raise IngestError(
+                f"missing {what} for track {exc.args[0]!r} in album {album.album_id!r}"
+            ) from None
+        if not np.all(np.isfinite(values)):
+            raise IngestError(f"non-finite {what} in album {album.album_id!r}")
+        series.append((album.album_id, values))
+    return series
+
+
+_KINDS = {"bool": bool, "int": numbers.Integral, "float": numbers.Real, "str": str}
+
+
+def _is_kind(value, kind: str) -> bool:
+    if kind == "tuple[int, int]":
+        return isinstance(value, tuple) and len(value) == 2 and all(_is_kind(v, "int") for v in value)
+    # bool is an int subclass, but a flag is not a number.
+    return isinstance(value, _KINDS[kind]) and (kind == "bool" or not isinstance(value, bool))
+
+
+def check_type(name: str, value, kind: str) -> None:
+    """Raise TypeError unless ``value`` is a ``kind``: "bool", "int",
+    "float" (ints included), "str" or "tuple[int, int]"."""
+    if not _is_kind(value, kind):
+        raise TypeError(f"{name} must be {kind}, got {value!r}")
+
+
+def check_field_types(config) -> None:
+    """:func:`check_type` for every field of a config dataclass against its
+    declared type."""
+    for f in dataclasses.fields(config):
+        check_type(f.name, getattr(config, f.name), f.type)
 
 
 def relative_positions(n: int) -> np.ndarray:

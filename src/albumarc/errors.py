@@ -9,8 +9,9 @@ class ConfigError(AlbumArcError):
     """A run configuration file is malformed or inconsistent."""
 
 
-class IngestError(AlbumArcError):
-    """A data file violates the expected schema."""
+class IngestError(AlbumArcError, ValueError):
+    """Input data (a data file or a per-track value map) violates the
+    expected schema."""
 
 
 class TrainingDiverged(AlbumArcError):

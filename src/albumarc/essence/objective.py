@@ -119,18 +119,3 @@ def scorer_loss_graph(
     only the scorer parameters are in the graph."""
     return _ordering_loss(ad.as_tensor(values), perms, score_sequences_graph, sco_params)
 
-
-def pearson(a, b) -> float:
-    """Pearson correlation coefficient of two equal-length series."""
-    x = np.asarray(a, dtype=np.float64)
-    y = np.asarray(b, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("inputs must be equal-length 1-D series")
-    if x.size < 2:
-        raise ValueError("need at least 2 points")
-    if np.ptp(x) == 0 or np.ptp(y) == 0:
-        raise ValueError("correlation undefined for a constant series")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    r = float((xc @ yc) / np.sqrt((xc @ xc) * (yc @ yc)))
-    return max(-1.0, min(1.0, r))

@@ -12,14 +12,12 @@ contrastive-loss graph; validation evaluates that graph without dropout.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import Album
+from ..core import Album, album_values, check_field_types
 from ..errors import TrainingDiverged
 from . import autodiff as ad
 from .model import (
@@ -57,11 +55,7 @@ class TrainConfig:
     val_sets_per_album: int = 4
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            kind = numbers.Real if f.type == "float" else numbers.Integral
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+        check_field_types(self)
         for name in ("batch_size", "max_epochs", "patience", "essence_dim",
                      "extractor_hidden", "scorer_hidden", "val_sets_per_album"):
             if getattr(self, name) < 1:
@@ -296,21 +290,6 @@ def validation_mi(model: EssenceModel, history: list[EpochStats]) -> float:
     return max(h.val_mi_bits for h in history)
 
 
-def _normalized_album_values(albums, feature_values) -> list[tuple[str, np.ndarray]]:
-    per_album = []
-    for album in albums:
-        try:
-            vals = np.array([feature_values[t.track_id] for t in album.tracks], dtype=np.float64)
-        except KeyError as exc:
-            raise ValueError(
-                f"missing feature value for track {exc.args[0]!r} in album {album.album_id!r}"
-            ) from None
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"non-finite feature value in album {album.album_id!r}")
-        per_album.append((album.album_id, zscore_columns(vals[:, None])))
-    return per_album
-
-
 def probe_feature_mi(dataset, feature_values: dict, config: TrainConfig) -> float:
     """Validation MI bound (bits) of a fixed per-track scalar feature.
 
@@ -318,8 +297,12 @@ def probe_feature_mi(dataset, feature_values: dict, config: TrainConfig) -> floa
     extractor is not involved.  Raises on albums with missing values.
     """
     train_albums, val_albums = _usable_splits(dataset)
-    train_vals = _normalized_album_values(train_albums, feature_values)
-    val_vals = _normalized_album_values(val_albums, feature_values)
+
+    def zscored(albums):
+        series = album_values(albums, feature_values, what="feature value")
+        return [(album_id, zscore_columns(values[:, None])) for album_id, values in series]
+
+    train_vals, val_vals = zscored(train_albums), zscored(val_albums)
     init_rng, batch_rng, val_rng = _rngs(config.seed)
     shapes = ScorerArch(essence_dim=1, hidden=config.scorer_hidden).param_shapes()
     scorer = _Net(init_params(shapes, init_rng, out_scale=0.01), shapes, config.learning_rate, decay=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .core import Ordering, normalize_minmax
+from .core import Ordering, album_values, normalize_minmax
 from .fitcurve import fit_ordering
 from .templates import TemplateSet
 
@@ -155,23 +155,6 @@ class EvalReport:
         }
 
 
-def _album_series(dataset, essence_by_track) -> list[tuple[str, np.ndarray]]:
-    series = []
-    for album in dataset.albums:
-        try:
-            vals = np.array(
-                [essence_by_track[t.track_id] for t in album.tracks], dtype=np.float64
-            )
-        except KeyError as exc:
-            raise ValueError(
-                f"missing essence for track {exc.args[0]!r} in album {album.album_id!r}"
-            ) from None
-        if vals.ndim != 1:
-            raise ValueError(f"album {album.album_id!r}: essence must be scalar per track")
-        series.append((album.album_id, vals))
-    return series
-
-
 def _evaluate_album(album_id, values, curves, rng) -> AlbumEval:
     n = values.shape[0]
     y = normalize_minmax(values)
@@ -210,7 +193,7 @@ def evaluate_templates(
     albums, or every per-album difference exactly zero) falls back to p = 1
     and logs a warning naming the comparison.
     """
-    series = _album_series(dataset, essence_by_track)
+    series = album_values(dataset.albums, essence_by_track)
     if not series:
         raise ValueError("no albums to evaluate")
     curves = template_set.curves()
@@ -244,15 +227,16 @@ def evaluate_templates(
     )
 
 
-def plot_rows(report: EvalReport) -> list[tuple[str, float, float]]:
-    """(condition, mean, standard error) rows for bar-chart export."""
+def plot_rows(report: dict) -> list[tuple[str, float, float]]:
+    """(condition, mean, standard error) rows for bar-chart export, from a
+    report document as :meth:`EvalReport.to_dict` writes it."""
     rows = []
-    for name, attr in (
+    for name, key in (
         ("learned", "learned_score"),
         ("random_orderings", "random_score"),
         ("shuffled_essence", "shuffled_score"),
     ):
-        scores = np.array([getattr(e, attr) for e in report.albums])
+        scores = np.array([album[key] for album in report["albums"]], dtype=np.float64)
         stderr = float(scores.std(ddof=1) / np.sqrt(scores.size)) if scores.size > 1 else 0.0
         rows.append((name, float(scores.mean()), stderr))
     return rows

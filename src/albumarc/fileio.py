@@ -8,12 +8,16 @@ run never leaves a partial file.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import tempfile
 from pathlib import Path
+
+from .errors import IngestError
 
 
 def canonical_json(doc) -> str:
@@ -57,8 +61,8 @@ def provenance_comment(provenance: dict) -> str:
 def write_table(path, render, provenance: dict | None = None) -> None:
     """Write a text table atomically; ``render(fh)`` emits the body.
 
-    A ``# key=value ...`` provenance comment line is prepended; loaders skip
-    leading comment lines.
+    A ``# key=value ...`` provenance comment line is prepended;
+    :func:`read_table` skips leading comment lines.
     """
     buf = io.StringIO()
     if provenance is not None:
@@ -72,12 +76,28 @@ def read_json(path) -> dict:
         return json.load(fh)
 
 
-def skip_leading_comments(fh):
-    """Iterate lines of an open text file, dropping leading '#' lines."""
-    it = iter(fh)
-    for line in it:
-        if line.startswith("#"):
-            continue
-        yield line
-        break
-    yield from it
+def read_table(path):
+    """Yield ``(line number, cells)`` for the header and then each row of a
+    CSV table, skipping the leading ``#`` comment lines.
+
+    Line numbers count the file's physical lines.  A file with no header and
+    a row whose cell count differs from the header's raise IngestError.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        comments = 0
+        for line in fh:
+            if not line.startswith("#"):
+                break
+            comments += 1
+        else:
+            raise IngestError(f"{path}: empty file")
+        reader = csv.reader(itertools.chain([line], fh))
+        header = next(reader)
+        yield comments + reader.line_num, header
+        for row in reader:
+            line_no = comments + reader.line_num
+            if len(row) != len(header):
+                raise IngestError(
+                    f"{path}:{line_no}: expected {len(header)} columns, got {len(row)}"
+                )
+            yield line_no, row

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EssenceSeries, Ordering, normalize_minmax, relative_positions
+from .core import Ordering, minmax_series, normalize_minmax, relative_positions
 from .spline import TemplateCurve, eval_curve
 
 
@@ -147,24 +147,8 @@ def fit_ordering(values, curve: TemplateCurve) -> FitResult:
     in [0, 1]).  The returned ordering minimizes the maximum |value - target|
     deviation, then the total deviation, then is lexicographically smallest.
     """
-    if isinstance(values, EssenceSeries):
-        if values.normalization != "minmax":
-            raise ValueError(
-                f"album {values.album_id!r}: series must be min-max normalized, "
-                f"got {values.normalization!r}"
-            )
-        y = values.scalars()
-    else:
-        y = np.asarray(values, dtype=np.float64)
-    n = y.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 values, got {n}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("values must be finite")
-    if y.min() < -1e-9 or y.max() > 1.0 + 1e-9:
-        raise ValueError("values must lie in [0, 1]; min-max normalize first")
-
-    z = sample_template(curve, n)
+    y = minmax_series(values)
+    z = sample_template(curve, y.shape[0])
     order_y = np.argsort(y, kind="stable")
     order_z = np.argsort(z, kind="stable")
     ys, zs = y[order_y], z[order_z]

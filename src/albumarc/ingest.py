@@ -24,10 +24,11 @@ from .core import (
     STAT_NAMES,
     Album,
     TrackFeatures,
+    check_field_types,
     relative_positions,
 )
 from .errors import IngestError
-from .fileio import skip_leading_comments
+from .fileio import read_table
 
 log = logging.getLogger(__name__)
 
@@ -72,9 +73,6 @@ class Dataset:
         kept = tuple(a for a in self.albums if self.split_of.get(a.album_id) == split)
         return replace(self, albums=kept, split=split)
 
-    def with_scalars(self, scalar_features: dict) -> "Dataset":
-        return replace(self, scalar_features=dict(scalar_features))
-
     def track_count(self) -> int:
         return sum(len(a) for a in self.albums)
 
@@ -97,53 +95,44 @@ def load_feature_table(path) -> Dataset:
     by_album: dict[str, list[tuple[int, TrackFeatures]]] = {}
     split_votes: dict[str, set[str]] = {}
     dropped = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = list(skip_leading_comments(fh))
-        reader = csv.reader(lines)
+    rows = read_table(path)
+    _, header = next(rows)
+    if tuple(header) != HEADER:
+        raise IngestError(
+            f"{path}: bad header; expected {len(HEADER)} columns starting "
+            f"with {HEADER[:4]}"
+        )
+    for line_no, row in rows:
+        album_id, track_id, pos_str, split = row[0], row[1], row[2], row[3]
+        if not album_id:
+            dropped += 1
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file") from None
-        if tuple(header) != HEADER:
+            position = int(pos_str)
+        except ValueError:
             raise IngestError(
-                f"{path}: bad header; expected {len(HEADER)} columns starting "
-                f"with {HEADER[:4]}"
+                f"{path}:{line_no}: non-integer track_position {pos_str!r}"
+            ) from None
+        if split and split not in SPLITS:
+            raise IngestError(f"{path}:{line_no}: unknown split {split!r}")
+        try:
+            stats = np.array(row[4:], dtype=np.float64).reshape(N_FEATURES, N_STATS)
+        except ValueError:
+            raise IngestError(
+                f"{path}:{line_no}: non-numeric feature value"
+            ) from None
+        try:
+            track = TrackFeatures(track_id=track_id, stats=stats)
+        except ValueError as exc:
+            raise IngestError(f"{path}:{line_no}: {exc}") from None
+        entries = by_album.setdefault(album_id, [])
+        if any(p == position for p, _ in entries):
+            raise IngestError(
+                f"{path}:{line_no}: duplicate track_position {position} "
+                f"in album {album_id!r}"
             )
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(HEADER):
-                raise IngestError(
-                    f"{path}:{line_no}: expected {len(HEADER)} columns, got {len(row)}"
-                )
-            album_id, track_id, pos_str, split = row[0], row[1], row[2], row[3]
-            if not album_id:
-                dropped += 1
-                continue
-            try:
-                position = int(pos_str)
-            except ValueError:
-                raise IngestError(
-                    f"{path}:{line_no}: non-integer track_position {pos_str!r}"
-                ) from None
-            if split and split not in SPLITS:
-                raise IngestError(f"{path}:{line_no}: unknown split {split!r}")
-            try:
-                stats = np.array(row[4:], dtype=np.float64).reshape(N_FEATURES, N_STATS)
-            except ValueError:
-                raise IngestError(
-                    f"{path}:{line_no}: non-numeric feature value"
-                ) from None
-            try:
-                track = TrackFeatures(track_id=track_id, stats=stats)
-            except ValueError as exc:
-                raise IngestError(f"{path}:{line_no}: {exc}") from None
-            entries = by_album.setdefault(album_id, [])
-            if any(p == position for p, _ in entries):
-                raise IngestError(
-                    f"{path}:{line_no}: duplicate track_position {position} "
-                    f"in album {album_id!r}"
-                )
-            entries.append((position, track))
-            split_votes.setdefault(album_id, set()).add(split)
+        entries.append((position, track))
+        split_votes.setdefault(album_id, set()).add(split)
     if dropped:
         log.info("dropped %d rows with missing album_id", dropped)
 
@@ -169,30 +158,22 @@ def load_feature_table(path) -> Dataset:
 
 def load_scalar_table(path) -> dict[str, dict[str, float]]:
     """Load the companion per-track scalar table: feature name -> track -> value."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(skip_leading_comments(fh))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file") from None
-        if not header or header[0] != "track_id" or len(header) < 2:
-            raise IngestError(f"{path}: header must be track_id,<feature>...")
-        names = header[1:]
-        table: dict[str, dict[str, float]] = {name: {} for name in names}
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
+    rows = read_table(path)
+    _, header = next(rows)
+    if len(header) < 2 or header[0] != "track_id":
+        raise IngestError(f"{path}: header must be track_id,<feature>...")
+    names = header[1:]
+    table: dict[str, dict[str, float]] = {name: {} for name in names}
+    for line_no, row in rows:
+        for name, cell in zip(names, row[1:]):
+            if cell == "":
+                continue
+            try:
+                table[name][row[0]] = float(cell)
+            except ValueError:
                 raise IngestError(
-                    f"{path}:{line_no}: expected {len(header)} columns, got {len(row)}"
-                )
-            for name, cell in zip(names, row[1:]):
-                if cell == "":
-                    continue
-                try:
-                    table[name][row[0]] = float(cell)
-                except ValueError:
-                    raise IngestError(
-                        f"{path}:{line_no}: non-numeric value {cell!r} for {name}"
-                    ) from None
+                    f"{path}:{line_no}: non-numeric value {cell!r} for {name}"
+                ) from None
     return table
 
 
@@ -231,6 +212,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         lo, hi = self.length_range
         if not (MIN_ALBUM_LEN <= lo <= hi <= MAX_ALBUM_LEN):
             raise ValueError(f"length_range must lie within [3, 20], got {self.length_range}")
@@ -306,13 +288,6 @@ def synth_generate(config: SynthConfig, shuffle_orders: bool = False) -> Dataset
     return Dataset(albums=tuple(albums), split_of=split_of, scalar_features=scalars)
 
 
-def planted_latent(track: TrackFeatures) -> float:
-    """Read the embedded latent back from a synthetic track (noisy if the
-    dataset was generated with noise)."""
-    row, col = SYNTH_LATENT_SLOTS[0]
-    return float(track.stats[row, col])
-
-
 def write_feature_csv(dataset: Dataset, fh) -> None:
     """Write a dataset in the feature-table schema to an open text file."""
     writer = csv.writer(fh, lineterminator="\n")
@@ -341,34 +316,26 @@ def write_essence_csv(track_ids, values, fh) -> None:
 def load_essence_csv(path) -> tuple[list[str], np.ndarray]:
     """Load an essence export; returns track ids in file order and an (n, d)
     value matrix."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(skip_leading_comments(fh))
+    rows = read_table(path)
+    _, header = next(rows)
+    expected = ["track_id"] + [f"essence_{j + 1}" for j in range(len(header) - 1)]
+    if header != expected or len(header) < 2:
+        raise IngestError(f"{path}: header must be track_id,essence_1,...")
+    track_ids: list[str] = []
+    values: list[list[float]] = []
+    seen = set()
+    for line_no, row in rows:
+        if row[0] in seen:
+            raise IngestError(f"{path}:{line_no}: duplicate track_id {row[0]!r}")
+        seen.add(row[0])
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file") from None
-        expected = ["track_id"] + [f"essence_{j + 1}" for j in range(len(header) - 1)]
-        if header != expected or len(header) < 2:
-            raise IngestError(f"{path}: header must be track_id,essence_1,...")
-        track_ids: list[str] = []
-        rows: list[list[float]] = []
-        seen = set()
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise IngestError(
-                    f"{path}:{line_no}: expected {len(header)} columns, got {len(row)}"
-                )
-            if row[0] in seen:
-                raise IngestError(f"{path}:{line_no}: duplicate track_id {row[0]!r}")
-            seen.add(row[0])
-            try:
-                rows.append([float(x) for x in row[1:]])
-            except ValueError:
-                raise IngestError(f"{path}:{line_no}: non-numeric essence value") from None
-            track_ids.append(row[0])
+            values.append([float(x) for x in row[1:]])
+        except ValueError:
+            raise IngestError(f"{path}:{line_no}: non-numeric essence value") from None
+        track_ids.append(row[0])
     if not track_ids:
         raise IngestError(f"{path}: no essence rows")
-    return track_ids, np.array(rows, dtype=np.float64)
+    return track_ids, np.array(values, dtype=np.float64)
 
 
 def write_scalar_csv(scalar_features: dict, fh) -> None:

@@ -37,10 +37,6 @@ class TemplateCurve:
     def __call__(self, x) -> np.ndarray | float:
         return eval_curve(self, x)
 
-    @property
-    def n_knots(self) -> int:
-        return len(self.xs)
-
 
 def _validate_knots(xs: np.ndarray) -> None:
     if xs.ndim != 1 or len(xs) < 2:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EssenceSeries, relative_positions
+from .core import check_field_types, minmax_series, relative_positions
 from .spline import DEFAULT_KNOTS, TemplateCurve, build_spline, sampling_matrix
 
 
@@ -86,6 +86,7 @@ class GAConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
         if self.children_per_gen < 1:
@@ -98,23 +99,6 @@ class GAConfig:
             raise ValueError("generations must be positive")
         if self.stagnation_patience < 1:
             raise ValueError("stagnation_patience must be positive")
-
-
-def _album_values(values) -> np.ndarray:
-    if isinstance(values, EssenceSeries):
-        if values.normalization != "minmax":
-            raise ValueError(
-                f"album {values.album_id!r}: series must be min-max normalized, "
-                f"got {values.normalization!r}"
-            )
-        v = values.scalars()
-    else:
-        v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] < 2:
-        raise ValueError("each album needs at least 2 scalar values")
-    if v.min() < -1e-9 or v.max() > 1.0 + 1e-9:
-        raise ValueError("values must lie in [0, 1]; min-max normalize first")
-    return v
 
 
 def _renorm_rows(rows: np.ndarray) -> np.ndarray:
@@ -164,7 +148,7 @@ def template_cost(template_set: TemplateSet, albums) -> float:
     at the album's relative positions."""
     if not albums:
         raise ValueError("no albums to score")
-    values_list = [_album_values(a) for a in albums]
+    values_list = [minmax_series(a) for a in albums]
     groups = _length_groups(values_list, template_set.xs)
     population = template_set.templates[None, :, :]
     return float(_population_cost(population, groups)[0])
@@ -184,7 +168,7 @@ def evolve_templates(
     """
     if not albums:
         raise ValueError("no albums to fit")
-    values_list = [_album_values(a) for a in albums]
+    values_list = [minmax_series(a) for a in albums]
     grid = np.array(DEFAULT_KNOTS if xs is None else xs, dtype=np.float64)
     groups = _length_groups(values_list, grid)
     s, b, k, q = (

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from albumarc.essence import TrainConfig, train
-from albumarc.ingest import SynthConfig, synth_generate
+from albumarc.ingest import SYNTH_LATENT_SLOTS, SynthConfig, synth_generate
 
 PLANTED_SEED = 11
 TRAIN_SEED = 5
@@ -42,6 +42,29 @@ def essence_map(model, dataset):
         for track, value in zip(album.tracks, values):
             out[track.track_id] = float(value)
     return out
+
+
+def planted_latent(track) -> float:
+    """Read the embedded latent back from a synthetic track (noisy if the
+    dataset was generated with noise)."""
+    row, col = SYNTH_LATENT_SLOTS[0]
+    return float(track.stats[row, col])
+
+
+def pearson(a, b) -> float:
+    """Pearson correlation coefficient of two equal-length series."""
+    x = np.asarray(a, dtype=np.float64)
+    y = np.asarray(b, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("inputs must be equal-length 1-D series")
+    if x.size < 2:
+        raise ValueError("need at least 2 points")
+    if np.ptp(x) == 0 or np.ptp(y) == 0:
+        raise ValueError("correlation undefined for a constant series")
+    xc = x - x.mean()
+    yc = y - y.mean()
+    r = float((xc @ yc) / np.sqrt((xc @ xc) * (yc @ yc)))
+    return max(-1.0, min(1.0, r))
 
 
 @pytest.fixture(scope="session")

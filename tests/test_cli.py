@@ -350,13 +350,19 @@ class TestErrors:
             ("train", "train", {"extractor_hidden": 0}),
             ("train", "train", {"learning_rate": -1.0}),
             ("extract-templates", "ga", {"generations": "many"}),
+            ("extract-templates", "ga", {"generations": 2.5}),
+            ("evaluate", "evaluate", {"alpha": "x"}),
+            ("evaluate", "evaluate", {"seed": "abc"}),
+            ("evaluate", "evaluate", {"split": "dev"}),
             ("synth", "synth", {"n_albums": "many"}),
+            ("synth", "synth", {"n_albums": "30"}),
         ]
         for command, section, patch in cases:
             doc = json.loads(config.read_text())
             doc["paths"] = {
                 "dataset": str(out / "dataset.csv"),
                 "model": str(out / "model.json"),
+                "templates": str(out / "templates.json"),
             }
             doc[section].update(patch)
             bad = tmp_path / "malformed.json"
@@ -365,6 +371,28 @@ class TestErrors:
             assert result.returncode == 2, (patch, result.stderr)
             assert f"config section {section!r}" in result.stderr
             assert "Traceback" not in result.stderr
+
+    def test_missing_essence_track(self, workspace, tmp_path):
+        # A track absent from paths.essence is a data error (exit 2) naming
+        # the track, in both commands that gather essence per album.
+        _, out, config, _, _ = workspace
+        lines = (out / "essence.csv").read_text().splitlines(keepends=True)
+        dropped = next(line for line in lines if line.startswith("synth-"))
+        (tmp_path / "essence.csv").write_text("".join(line for line in lines if line != dropped))
+        doc = json.loads(config.read_text())
+        doc["paths"] = {
+            "dataset": str(out / "dataset.csv"),
+            "essence": str(tmp_path / "essence.csv"),
+            "templates": str(out / "templates.json"),
+        }
+        doc["ga"]["split"] = doc["evaluate"]["split"] = "all"
+        bad = tmp_path / "missing.json"
+        bad.write_text(json.dumps(doc))
+        track = dropped.split(",")[0]
+        for command in ("extract-templates", "evaluate"):
+            result = run("--config", str(bad), "--out", str(tmp_path), command)
+            assert result.returncode == 2, (command, result.stderr)
+            assert f"missing essence for track {track!r}" in result.stderr
 
 
 class TestMisc:

@@ -16,7 +16,6 @@ from albumarc.core import (
     Ordering,
     TrackFeatures,
     normalize_minmax,
-    normalize_zscore,
     relative_positions,
 )
 
@@ -73,12 +72,10 @@ class TestEssenceSeries:
     def test_scalar_series(self):
         s = EssenceSeries("a", np.array([0.1, 0.5, 0.9]))
         assert len(s) == 3
-        assert s.dim == 1
         np.testing.assert_array_equal(s.scalars(), [0.1, 0.5, 0.9])
 
     def test_vector_series_refuses_scalars(self):
         s = EssenceSeries("a", np.zeros((3, 4)))
-        assert s.dim == 4
         with pytest.raises(ValueError, match="scalar"):
             s.scalars()
 
@@ -131,19 +128,9 @@ class TestNormalizers:
     def test_minmax_constant_maps_to_half(self):
         np.testing.assert_array_equal(normalize_minmax([3.0, 3.0]), [0.5, 0.5])
 
-    def test_zscore_basic(self):
-        z = normalize_zscore([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(z.mean(), 0.0, atol=1e-15)
-        np.testing.assert_allclose(z.std(), 1.0, atol=1e-15)
-
-    def test_zscore_constant_maps_to_zero(self):
-        np.testing.assert_array_equal(normalize_zscore([7.0, 7.0, 7.0]), [0.0, 0.0, 0.0])
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             normalize_minmax([])
-        with pytest.raises(ValueError):
-            normalize_zscore([])
 
     @given(
         st.lists(

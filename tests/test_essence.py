@@ -22,7 +22,6 @@ from albumarc.essence.objective import (
     contrastive_permutations,
     info_nce_loss,
     mi_lower_bound,
-    pearson,
     sample_negative_permutations,
     zscore_columns,
 )
@@ -34,7 +33,7 @@ from albumarc.essence.training import (
 from albumarc.ingest import SynthConfig, synth_generate
 
 import essence_oracle as oracle
-from conftest import essence_map
+from conftest import essence_map, pearson
 
 
 def tiny_model(rng=None, d=1, in_dim=6, hidden=5, scorer_hidden=4):

@@ -266,7 +266,7 @@ class TestPlotRows:
     def test_rows_match_report(self, eval_setup):
         ds, essence, templates = eval_setup
         report = evaluate_templates(ds, essence, templates, seed=7)
-        rows = plot_rows(report)
+        rows = plot_rows(report.to_dict())
         assert [name for name, _, _ in rows] == [
             "learned",
             "random_orderings",
@@ -283,4 +283,4 @@ class TestPlotRows:
 
         one = replace(ds, albums=ds.albums[:1])
         report = evaluate_templates(one, essence, templates, seed=0)
-        assert all(stderr == 0.0 for _, _, stderr in plot_rows(report))
+        assert all(stderr == 0.0 for _, _, stderr in plot_rows(report.to_dict()))

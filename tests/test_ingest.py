@@ -8,6 +8,7 @@ import pytest
 
 from albumarc.core import N_FEATURES, N_STATS, Album, TrackFeatures, relative_positions
 from albumarc.errors import IngestError
+from albumarc.fileio import write_table
 from albumarc.ingest import (
     FEATURE_COLUMNS,
     HEADER,
@@ -24,12 +25,13 @@ from albumarc.ingest import (
     load_essence_csv,
     load_feature_table,
     load_scalar_table,
-    planted_latent,
     synth_generate,
     write_essence_csv,
     write_feature_csv,
     write_scalar_csv,
 )
+
+from conftest import planted_latent
 
 
 def _track(track_id, fill=0.0):
@@ -139,6 +141,43 @@ class TestLoadErrors:
             writer.writerow(["a1", "t2", "2", "train", "0.0"])
         with pytest.raises(IngestError, match=r"e\.csv:3: expected 529 columns, got 5"):
             load_feature_table(path)
+
+    @pytest.mark.parametrize(
+        "load, header, rows, match",
+        [
+            (
+                load_feature_table,
+                HEADER,
+                [_feature_row("a1", "t1", 1, "train"), _feature_row("a1", "t2", "x", "train")],
+                r"e\.csv:4: non-integer track_position 'x'",
+            ),
+            (
+                load_scalar_table,
+                ["track_id", "tempo"],
+                [["t1", "0.5"], ["t2", "fast"]],
+                r"e\.csv:4: non-numeric value 'fast' for tempo",
+            ),
+            (
+                load_essence_csv,
+                ["track_id", "essence_1"],
+                [["t1", "0.5"], ["t2", "x"]],
+                r"e\.csv:4: non-numeric essence value",
+            ),
+        ],
+    )
+    def test_line_numbers_count_the_provenance_line(self, tmp_path, load, header, rows, match):
+        # Tables the CLI writes start with a '#' provenance line; errors name
+        # the physical line of the bad row.
+        path = tmp_path / "e.csv"
+
+        def render(fh):
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+
+        write_table(path, render, {"config_sha256": "0" * 64, "seed": 1})
+        with pytest.raises(IngestError, match=match):
+            load(path)
 
     def test_non_integer_position(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -503,10 +542,3 @@ class TestDataset:
     def test_track_count(self):
         ds = Dataset(albums=(_album("a", 3), _album("b", 5)))
         assert ds.track_count() == 8
-
-    def test_with_scalars_copies(self):
-        ds = Dataset(albums=(_album("a", 3),))
-        scalars = {"x": {"a-t00": 1.0}}
-        tagged = ds.with_scalars(scalars)
-        scalars["y"] = {}
-        assert set(tagged.scalar_features) == {"x"}

@@ -157,6 +157,11 @@ class TestTemplateCost:
         ts = TemplateSet(xs=KNOTS, templates=np.zeros((1, 7)))
         with pytest.raises(ValueError, match="min-max normalize first"):
             template_cost(ts, [np.array([0.0, 1.5])])
+        nan_album = np.array([0.0, np.nan, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            template_cost(ts, [nan_album])
+        with pytest.raises(ValueError, match="finite"):
+            evolve_templates([nan_album, np.linspace(0, 1, 4)], GAConfig(generations=2))
 
     def test_rejects_short_and_empty(self):
         ts = TemplateSet(xs=KNOTS, templates=np.zeros((1, 7)))
