@@ -25,7 +25,7 @@ from . import __version__
 from .core import album_values, check_type, normalize_minmax
 from .errors import AlbumArcError, ConfigError, IngestError
 from .essence import EssenceModel, TrainConfig, probe_feature_mi, train
-from .evaluation import evaluate_templates, plot_rows
+from .evaluation import check_alpha, evaluate_templates, plot_rows
 from .fileio import (
     atomic_write_text,
     config_hash,
@@ -39,6 +39,7 @@ from .ingest import (
     SynthConfig,
     drop_tracks_missing,
     filter_albums,
+    load_album_table,
     load_essence_csv,
     load_feature_table,
     load_scalar_table,
@@ -47,6 +48,7 @@ from .ingest import (
     write_feature_csv,
     write_scalar_csv,
 )
+from .spline import check_knots
 from .templates import GAConfig, TemplateSet, evolve_templates
 
 log = logging.getLogger(__name__)
@@ -176,8 +178,17 @@ def _read_input_json(path: Path) -> dict:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _load_dataset(app: App) -> Dataset:
-    return filter_albums(load_feature_table(app.path("dataset")))
+def _load_dataset(app: App, features: bool) -> Dataset:
+    """The length-filtered dataset.  Without ``features`` only the album
+    structure is read: feature cells are neither parsed nor checked."""
+    load = load_feature_table if features else load_album_table
+    return filter_albums(load(app.path("dataset")))
+
+
+def _essence_from_model(app: App) -> bool:
+    """Whether essence is extracted by paths.model from the features, which
+    is so when paths.essence is not set."""
+    return app.path("essence", required=False) is None
 
 
 def _load_templates(app: App) -> TemplateSet:
@@ -206,8 +217,8 @@ def _scalar_column(source: Path, values: np.ndarray) -> np.ndarray:
 def _scalar_essence(app: App, dataset: Dataset) -> dict:
     """track_id -> scalar essence, from the paths.essence CSV, else from the
     paths.model extractor run over ``dataset``."""
-    source = app.path("essence", required=False)
-    if source is not None:
+    if not _essence_from_model(app):
+        source = app.path("essence")
         track_ids, values = load_essence_csv(source)
     else:
         source = app.path("model", required=False)
@@ -341,7 +352,7 @@ def train_cmd(app: App):
     if dims is None:
         config = _section_config(app, "train", TrainConfig)
         prov = app.provenance(config.seed)
-        dataset = _load_dataset(app)
+        dataset = _load_dataset(app, features=True)
         model, history = train(dataset, config)
         best = _write_train_outputs(app, dataset, model, history, config, prov)
         click.echo(
@@ -352,7 +363,7 @@ def train_cmd(app: App):
     with _config_section("train"):
         configs = [_section_config(app, "train", TrainConfig, essence_dim=d) for d in dims]
     prov = app.provenance(app.effective_seed("train"))
-    dataset = _load_dataset(app)
+    dataset = _load_dataset(app, features=True)
     summary = []
     for config in configs:
         d = config.essence_dim
@@ -377,7 +388,7 @@ def probe(app: App):
     """Estimate the order information carried by fixed scalar features."""
     config = _section_config(app, "train", TrainConfig)
     prov = app.provenance(config.seed)
-    dataset = _load_dataset(app)
+    dataset = _load_dataset(app, features=False)
     scalars = load_scalar_table(app.path("scalars"))
     features = app.section("probe").get("features")
     if features is None:
@@ -399,11 +410,14 @@ def probe(app: App):
 def extract_templates(app: App):
     """Evolve template curves over the learned essence sequences."""
     config = _section_config(app, "ga", GAConfig)
+    knots = app.section("ga").get("knots")
+    if knots is not None:
+        with _config_section("ga"):
+            knots = check_knots(knots)
     prov = app.provenance(config.seed)
-    albums = _split(app, _load_dataset(app), "ga", "train")
+    albums = _split(app, _load_dataset(app, features=_essence_from_model(app)), "ga", "train")
     essence = _scalar_essence(app, albums)
     series = [normalize_minmax(values) for _, values in album_values(albums.albums, essence)]
-    knots = app.section("ga").get("knots")
     template_set, history = evolve_templates(series, config, xs=knots)
     write_json(app.out / "templates.json", template_set.to_dict(), prov)
 
@@ -431,6 +445,8 @@ def fit(app: App, values_arg, template_index):
     if values_arg is not None:
         try:
             values = np.array([float(x) for x in values_arg.split(",")], dtype=np.float64)
+            if values.size < 2 or not np.all(np.isfinite(values)):
+                raise ValueError("need at least 2 finite values")
         except ValueError:
             raise ConfigError(f"bad --values: {values_arg!r}") from None
         track_ids = None
@@ -483,8 +499,9 @@ def evaluate(app: App):
     alpha = app.section("evaluate").get("alpha", 0.05)
     with _config_section("evaluate"):
         check_type("alpha", alpha, "float")
+        check_alpha(alpha)
     prov = app.provenance(seed)
-    dataset = _load_dataset(app)
+    dataset = _load_dataset(app, features=_essence_from_model(app))
     template_set = _load_templates(app)
     ga_k = app.section("ga").get("n_templates")
     if ga_k is not None and ga_k != template_set.n_templates:

@@ -21,14 +21,20 @@ MAX_ALBUM_LEN = 20
 
 
 @dataclass(frozen=True)
-class TrackFeatures:
-    """Feature-statistics matrix for a single track.
+class Track:
+    """A track as album structure: its id alone."""
+
+    track_id: str
+
+
+@dataclass(frozen=True)
+class TrackFeatures(Track):
+    """A track with its feature-statistics matrix.
 
     ``stats`` is a ``(75, 7)`` float matrix; rows are audio features, columns
     are the global statistics in :data:`STAT_NAMES` order.
     """
 
-    track_id: str
     stats: np.ndarray
 
     def __post_init__(self):
@@ -51,10 +57,13 @@ class TrackFeatures:
 
 @dataclass(frozen=True)
 class Album:
-    """An ordered collection of tracks; list order is the ground-truth order."""
+    """An ordered collection of tracks; list order is the ground-truth order.
+
+    Tracks are :class:`TrackFeatures` where essence is computed from the
+    features, plain :class:`Track` where only the structure is needed."""
 
     album_id: str
-    tracks: tuple[TrackFeatures, ...]
+    tracks: tuple[Track, ...]
 
     def __post_init__(self):
         tracks = tuple(self.tracks)

@@ -86,6 +86,12 @@ def paired_t_test(a, b) -> float:
     return float(min(1.0, 2.0 * stats.t.sf(abs(t), df=d.size - 1)))
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless the family-wise level ``alpha`` is in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha {alpha} outside (0, 1)")
+
+
 def holm_bonferroni(p_values, alpha: float = 0.05) -> list[bool]:
     """Holm's step-down multiple-comparison procedure.
 
@@ -96,8 +102,7 @@ def holm_bonferroni(p_values, alpha: float = 0.05) -> list[bool]:
     for p in ps:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p-value {p} outside [0, 1]")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha {alpha} outside (0, 1)")
+    check_alpha(alpha)
     m = len(ps)
     rejections = [False] * m
     order = np.argsort(ps, kind="stable")

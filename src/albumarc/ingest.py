@@ -2,15 +2,19 @@
 
 One CSV schema serves both real feature exports and generated data:
 ``album_id,track_id,track_position,split,f001_mean,...,f075_max`` with the
-525 feature columns in fixed (feature, statistic) order.  An optional
-companion table ``scalars.csv`` (``track_id,<name>,...``) carries named
-per-track scalar features for probing.
+525 feature columns in fixed (feature, statistic) order.  The feature
+cells are parsed only where essence is computed from them
+(:func:`load_feature_table`); :func:`load_album_table` reads the album
+structure alone under the same row rules.  An optional companion table
+``scalars.csv`` (``track_id,<name>,...``) carries named per-track scalar
+features for probing.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -23,6 +27,7 @@ from .core import (
     N_STATS,
     STAT_NAMES,
     Album,
+    Track,
     TrackFeatures,
     check_field_types,
     relative_positions,
@@ -86,13 +91,38 @@ def hash_split(album_id: str) -> str:
     return "validation" if bucket == 8 else "test"
 
 
+def load_album_table(path) -> Dataset:
+    """Load the album structure of a feature CSV: album and track ids,
+    positions and splits, with each track a plain :class:`Track`.
+
+    The feature cells are neither parsed nor checked; every other row rule
+    of :func:`load_feature_table` applies.
+    """
+    return _load_table(path, lambda row: Track(row[1]))
+
+
 def load_feature_table(path) -> Dataset:
-    """Load the per-track feature CSV into a Dataset.
+    """Load the per-track feature CSV into a Dataset of :class:`TrackFeatures`.
 
     Rows without an album id are dropped (and counted in the log).  Albums
     keep first-seen order; tracks are ordered by ``track_position``.
     """
-    by_album: dict[str, list[tuple[int, TrackFeatures]]] = {}
+    return _load_table(path, _feature_track)
+
+
+def _feature_track(row) -> TrackFeatures:
+    try:
+        stats = np.array(row[4:], dtype=np.float64).reshape(N_FEATURES, N_STATS)
+    except ValueError:
+        raise ValueError("non-numeric feature value") from None
+    return TrackFeatures(track_id=row[1], stats=stats)
+
+
+def _load_table(path, make_track) -> Dataset:
+    """Apply every row rule of the feature-table schema to ``path`` and build
+    each track with ``make_track(row)``; a ValueError it raises is reported
+    with the row's physical line."""
+    by_album: dict[str, list[tuple[int, Track]]] = {}
     split_votes: dict[str, set[str]] = {}
     dropped = 0
     rows = read_table(path)
@@ -103,7 +133,7 @@ def load_feature_table(path) -> Dataset:
             f"with {HEADER[:4]}"
         )
     for line_no, row in rows:
-        album_id, track_id, pos_str, split = row[0], row[1], row[2], row[3]
+        album_id, pos_str, split = row[0], row[2], row[3]
         if not album_id:
             dropped += 1
             continue
@@ -115,22 +145,16 @@ def load_feature_table(path) -> Dataset:
             ) from None
         if split and split not in SPLITS:
             raise IngestError(f"{path}:{line_no}: unknown split {split!r}")
-        try:
-            stats = np.array(row[4:], dtype=np.float64).reshape(N_FEATURES, N_STATS)
-        except ValueError:
-            raise IngestError(
-                f"{path}:{line_no}: non-numeric feature value"
-            ) from None
-        try:
-            track = TrackFeatures(track_id=track_id, stats=stats)
-        except ValueError as exc:
-            raise IngestError(f"{path}:{line_no}: {exc}") from None
         entries = by_album.setdefault(album_id, [])
         if any(p == position for p, _ in entries):
             raise IngestError(
                 f"{path}:{line_no}: duplicate track_position {position} "
                 f"in album {album_id!r}"
             )
+        try:
+            track = make_track(row)
+        except ValueError as exc:
+            raise IngestError(f"{path}:{line_no}: {exc}") from None
         entries.append((position, track))
         split_votes.setdefault(album_id, set()).add(split)
     if dropped:
@@ -290,14 +314,19 @@ def synth_generate(config: SynthConfig, shuffle_orders: bool = False) -> Dataset
 
 def write_feature_csv(dataset: Dataset, fh) -> None:
     """Write a dataset in the feature-table schema to an open text file."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(HEADER)
+    csv.writer(fh, lineterminator="\n").writerow(HEADER)
+    # csv quotes the ids as it would in the full row.  A float's repr never
+    # needs quoting, so the 525 values are one repr of the row as a list.
+    ids = io.StringIO()
+    id_writer = csv.writer(ids, lineterminator="\n")
     for album in dataset.albums:
         split = dataset.split_of.get(album.album_id, "")
         for position, track in enumerate(album.tracks, start=1):
-            row = [album.album_id, track.track_id, str(position), split]
-            row.extend(repr(float(x)) for x in track.flat)
-            writer.writerow(row)
+            ids.seek(0)
+            ids.truncate()
+            id_writer.writerow([album.album_id, track.track_id, position, split])
+            values = repr(track.flat.tolist())[1:-1].replace(", ", ",")
+            fh.write(f"{ids.getvalue()[:-1]},{values}\n")
 
 
 def write_essence_csv(track_ids, values, fh) -> None:

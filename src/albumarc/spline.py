@@ -38,13 +38,17 @@ class TemplateCurve:
         return eval_curve(self, x)
 
 
-def _validate_knots(xs: np.ndarray) -> None:
+def check_knots(xs) -> np.ndarray:
+    """``xs`` as a float array, checked to be a knot grid: at least 2
+    strictly increasing knots from exactly 0 to exactly 1."""
+    xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 1 or len(xs) < 2:
         raise ValueError("need at least 2 knots")
-    if np.any(np.diff(xs) <= 0):
+    if not np.all(np.diff(xs) > 0):
         raise ValueError("knots must be strictly increasing")
     if xs[0] != 0.0 or xs[-1] != 1.0:
         raise ValueError("knot grid must span exactly [0, 1]")
+    return xs
 
 
 def natural_second_derivatives(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -73,9 +77,8 @@ def natural_second_derivatives(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def build_spline(xs, ys) -> TemplateCurve:
     """Build the natural cubic spline through the given control points."""
-    xs = np.asarray(xs, dtype=np.float64)
+    xs = check_knots(xs)
     ys = np.asarray(ys, dtype=np.float64)
-    _validate_knots(xs)
     if ys.shape != xs.shape:
         raise ValueError(f"control value count {ys.shape} != knot count {xs.shape}")
     if not np.all(np.isfinite(ys)):

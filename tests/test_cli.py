@@ -280,12 +280,13 @@ class TestErrors:
 
     def test_bad_values_argument(self, workspace):
         ws, out, _, album_config, _ = workspace
-        result = run(
-            "--config", str(album_config), "--out", str(out), "fit",
-            "--values", "0.1,zebra",
-        )
-        assert result.returncode == 2
-        assert "bad --values" in result.stderr
+        for values in ("0.1,zebra", "0.5", "0.1,nan,0.3"):
+            result = run(
+                "--config", str(album_config), "--out", str(out), "fit",
+                "--values", values,
+            )
+            assert result.returncode == 2, (values, result.stderr)
+            assert "bad --values" in result.stderr
 
     def test_template_index_out_of_range(self, workspace):
         ws, out, _, album_config, _ = workspace
@@ -351,7 +352,12 @@ class TestErrors:
             ("train", "train", {"learning_rate": -1.0}),
             ("extract-templates", "ga", {"generations": "many"}),
             ("extract-templates", "ga", {"generations": 2.5}),
+            ("extract-templates", "ga", {"knots": [0, 0.5]}),
+            ("extract-templates", "ga", {"knots": [0, 0.6, 0.4, 1]}),
+            ("extract-templates", "ga", {"knots": "grid"}),
             ("evaluate", "evaluate", {"alpha": "x"}),
+            ("evaluate", "evaluate", {"alpha": 2.0}),
+            ("evaluate", "evaluate", {"alpha": 0}),
             ("evaluate", "evaluate", {"seed": "abc"}),
             ("evaluate", "evaluate", {"split": "dev"}),
             ("synth", "synth", {"n_albums": "many"}),
@@ -393,6 +399,66 @@ class TestErrors:
             result = run("--config", str(bad), "--out", str(tmp_path), command)
             assert result.returncode == 2, (command, result.stderr)
             assert f"missing essence for track {track!r}" in result.stderr
+
+
+class TestFeatureCells:
+    """Only the commands that compute essence from the features read the
+    feature cells of dataset.csv."""
+
+    @staticmethod
+    def _config(directory, dataset, **paths):
+        """A config in ``directory`` beside a copy of ``dataset``; configs
+        made with the same ``paths`` are the same document."""
+        directory.mkdir()
+        (directory / "dataset.csv").write_bytes(dataset.read_bytes())
+        doc = dict(MAIN_CONFIG, paths={"dataset": "dataset.csv", **paths})
+        (directory / "config.json").write_text(json.dumps(doc))
+        return directory / "config.json"
+
+    @pytest.fixture(scope="class")
+    def bad_cell(self, workspace, tmp_path_factory):
+        """A copy of the dataset whose first feature cell on one row reads
+        'NaN-ish', and that row's physical line number."""
+        _, out, _, _, _ = workspace
+        lines = (out / "dataset.csv").read_text().splitlines(keepends=True)
+        index = len(lines) // 2
+        cells = lines[index].split(",")
+        cells[4] = "NaN-ish"
+        lines[index] = ",".join(cells)
+        path = tmp_path_factory.mktemp("bad") / "dataset.csv"
+        path.write_text("".join(lines))
+        return path, index + 1
+
+    def test_feature_commands_report_bad_cell(self, workspace, bad_cell, tmp_path):
+        _, out, _, _, _ = workspace
+        bad, line_no = bad_cell
+        config = self._config(
+            tmp_path / "bad", bad,
+            model=str(out / "model.json"), templates=str(out / "templates.json"),
+        )
+        for command in ("train", "evaluate", "extract-templates"):
+            result = run("--config", str(config), "--out", str(tmp_path / "o"), command)
+            assert result.returncode == 2, (command, result.stderr)
+            assert f"dataset.csv:{line_no}: non-numeric feature value" in result.stderr
+
+    def test_essence_commands_skip_feature_cells(self, workspace, bad_cell, tmp_path):
+        _, out, _, _, _ = workspace
+        bad, _ = bad_cell
+        artifacts = {}
+        for name, dataset in (("clean", out / "dataset.csv"), ("bad", bad)):
+            config = self._config(
+                tmp_path / name, dataset,
+                essence=str(out / "essence.csv"), templates=str(out / "templates.json"),
+            )
+            for command in ("extract-templates", "evaluate"):
+                run_ok("--config", str(config), "--out", str(config.parent / "o"), command)
+            artifacts[name] = {
+                p.name: p.read_bytes() for p in sorted((config.parent / "o").iterdir())
+            }
+        assert sorted(artifacts["clean"]) == [
+            "eval_report.json", "ga_history.csv", "scores.tsv", "templates.json",
+        ]
+        assert artifacts["bad"] == artifacts["clean"]
 
 
 class TestMisc:

@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from albumarc.core import N_FEATURES, N_STATS, Album, TrackFeatures, relative_positions
+from albumarc.core import N_FEATURES, N_STATS, Album, Track, TrackFeatures, relative_positions
 from albumarc.errors import IngestError
 from albumarc.fileio import write_table
 from albumarc.ingest import (
@@ -22,6 +22,7 @@ from albumarc.ingest import (
     filter_albums,
     hash_split,
     latent_shape_values,
+    load_album_table,
     load_essence_csv,
     load_feature_table,
     load_scalar_table,
@@ -54,6 +55,29 @@ def _write_rows(path, rows, header=HEADER):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _raises_from_both_loaders(path, match):
+    """A row rule reads the same from the structure and the feature loader."""
+    messages = []
+    for load in (load_feature_table, load_album_table):
+        with pytest.raises(IngestError, match=match) as info:
+            load(path)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def _write_feature_csv_per_cell(dataset, fh):
+    """The feature-table writer with one repr call per cell: the oracle for
+    write_feature_csv's one repr per row."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(HEADER)
+    for album in dataset.albums:
+        split = dataset.split_of.get(album.album_id, "")
+        for position, track in enumerate(album.tracks, start=1):
+            row = [album.album_id, track.track_id, str(position), split]
+            row.extend(repr(float(x)) for x in track.flat)
+            writer.writerow(row)
 
 
 class TestSchema:
@@ -123,14 +147,12 @@ class TestLoadErrors:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("")
-        with pytest.raises(IngestError, match="empty file"):
-            load_feature_table(path)
+        _raises_from_both_loaders(path, "empty file")
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "e.csv"
         _write_rows(path, [], header=["album_id", "track_id"])
-        with pytest.raises(IngestError, match="bad header"):
-            load_feature_table(path)
+        _raises_from_both_loaders(path, "bad header")
 
     def test_short_row_reports_line_number(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -139,14 +161,19 @@ class TestLoadErrors:
             writer.writerow(HEADER)
             writer.writerow(_feature_row("a1", "t1", 1, "train"))
             writer.writerow(["a1", "t2", "2", "train", "0.0"])
-        with pytest.raises(IngestError, match=r"e\.csv:3: expected 529 columns, got 5"):
-            load_feature_table(path)
+        _raises_from_both_loaders(path, r"e\.csv:3: expected 529 columns, got 5")
 
     @pytest.mark.parametrize(
         "load, header, rows, match",
         [
             (
                 load_feature_table,
+                HEADER,
+                [_feature_row("a1", "t1", 1, "train"), _feature_row("a1", "t2", "x", "train")],
+                r"e\.csv:4: non-integer track_position 'x'",
+            ),
+            (
+                load_album_table,
                 HEADER,
                 [_feature_row("a1", "t1", 1, "train"), _feature_row("a1", "t2", "x", "train")],
                 r"e\.csv:4: non-integer track_position 'x'",
@@ -182,14 +209,12 @@ class TestLoadErrors:
     def test_non_integer_position(self, tmp_path):
         path = tmp_path / "e.csv"
         _write_rows(path, [_feature_row("a1", "t1", "first", "train")])
-        with pytest.raises(IngestError, match=r":2: non-integer track_position 'first'"):
-            load_feature_table(path)
+        _raises_from_both_loaders(path, r":2: non-integer track_position 'first'")
 
     def test_unknown_split_tag(self, tmp_path):
         path = tmp_path / "e.csv"
         _write_rows(path, [_feature_row("a1", "t1", 1, "dev")])
-        with pytest.raises(IngestError, match=r":2: unknown split 'dev'"):
-            load_feature_table(path)
+        _raises_from_both_loaders(path, r":2: unknown split 'dev'")
 
     def test_non_numeric_feature_value(self, tmp_path):
         row = _feature_row("a1", "t1", 1, "train")
@@ -198,6 +223,8 @@ class TestLoadErrors:
         _write_rows(path, [row])
         with pytest.raises(IngestError, match=r":2: non-numeric feature value"):
             load_feature_table(path)
+        # The structure loader does not read feature cells.
+        assert load_album_table(path).albums[0].track_ids == ("t1",)
 
     def test_non_finite_feature_value(self, tmp_path):
         row = _feature_row("a1", "t1", 1, "train")
@@ -206,6 +233,7 @@ class TestLoadErrors:
         _write_rows(path, [row])
         with pytest.raises(IngestError, match=r":2: .*non-finite"):
             load_feature_table(path)
+        assert load_album_table(path).albums[0].track_ids == ("t1",)
 
     def test_duplicate_position_names_album(self, tmp_path):
         rows = [
@@ -214,10 +242,7 @@ class TestLoadErrors:
         ]
         path = tmp_path / "e.csv"
         _write_rows(path, rows)
-        with pytest.raises(
-            IngestError, match=r":3: duplicate track_position 1 in album 'a1'"
-        ):
-            load_feature_table(path)
+        _raises_from_both_loaders(path, r":3: duplicate track_position 1 in album 'a1'")
 
     def test_inconsistent_split_tags(self, tmp_path):
         rows = [
@@ -226,8 +251,7 @@ class TestLoadErrors:
         ]
         path = tmp_path / "e.csv"
         _write_rows(path, rows)
-        with pytest.raises(IngestError, match=r"album 'a1' has inconsistent split tags"):
-            load_feature_table(path)
+        _raises_from_both_loaders(path, r"album 'a1' has inconsistent split tags")
 
     def test_duplicate_track_id_within_album(self, tmp_path):
         rows = [
@@ -236,8 +260,69 @@ class TestLoadErrors:
         ]
         path = tmp_path / "e.csv"
         _write_rows(path, rows)
-        with pytest.raises(IngestError, match=r"album 'a1': duplicate track ids"):
-            load_feature_table(path)
+        _raises_from_both_loaders(path, r"album 'a1': duplicate track ids")
+
+
+class TestAlbumTable:
+    @staticmethod
+    def _messy_table(path):
+        """Synth albums plus rows the loaders must treat alike: an album too
+        short and one too long for the length filter, rows without an album
+        id, untagged splits and rows out of position order."""
+        ds = synth_generate(SynthConfig(n_albums=12, length_range=(3, 6), seed=4))
+        body = io.StringIO()
+        write_feature_csv(ds, body)
+        lines = body.getvalue().splitlines(keepends=True)
+        extra = io.StringIO()
+        writer = csv.writer(extra, lineterminator="\n")
+        writer.writerows(_feature_row("short", f"s{j}", j, "train", 0.5) for j in (1, 2))
+        writer.writerows(_feature_row("long", f"l{j}", j, "test", 0.5) for j in range(1, 22))
+        writer.writerows(_feature_row("untagged", f"u{j}", j, "", 0.5) for j in (3, 1, 2))
+        writer.writerow(_feature_row("", "orphan", 1, "train"))
+        path.write_text(lines[0] + "".join(reversed(lines[1:])) + extra.getvalue())
+        return ds
+
+    def test_same_structure_as_feature_table(self, tmp_path):
+        path = tmp_path / "d.csv"
+        self._messy_table(path)
+        full, structure = load_feature_table(path), load_album_table(path)
+        assert [a.album_id for a in structure.albums] == [a.album_id for a in full.albums]
+        assert [a.track_ids for a in structure.albums] == [a.track_ids for a in full.albums]
+        assert structure.split_of == full.split_of
+        kept = [a.album_id for a in filter_albums(structure).albums]
+        assert kept == [a.album_id for a in filter_albums(full).albums]
+        assert "short" not in kept and "long" not in kept and "untagged" in kept
+        assert structure.albums[-1].track_ids == ("u1", "u2", "u3")
+
+    def test_tracks_carry_no_features(self, tmp_path):
+        path = tmp_path / "d.csv"
+        self._messy_table(path)
+        tracks = [t for a in load_album_table(path).albums for t in a.tracks]
+        assert all(type(t) is Track for t in tracks)
+
+
+class TestWriteFeatureCsv:
+    def test_matches_per_cell_oracle_on_synth(self):
+        ds = synth_generate(SynthConfig(n_albums=20, length_range=(3, 8), seed=7))
+        ours, oracle = io.StringIO(), io.StringIO()
+        write_feature_csv(ds, ours)
+        _write_feature_csv_per_cell(ds, oracle)
+        assert ours.getvalue() == oracle.getvalue()
+
+    def test_matches_per_cell_oracle_on_awkward_values_and_ids(self):
+        awkward = np.array([-0.0, 5e-324, 1e16, 0.1, -1.5e-300, 1.7976931348623157e308, 123456789.0])
+        stats = np.resize(awkward, (N_FEATURES, N_STATS))
+        ids = ['plain', 'with,comma', 'with"quote', 'with\nnewline', ' spaced ', '']
+        albums = tuple(
+            Album(album_id=f'album{i},"x"', tracks=(TrackFeatures(track_id=tid, stats=stats if i % 2 else -stats),))
+            for i, tid in enumerate(ids)
+        )
+        ds = Dataset(albums=albums, split_of={albums[0].album_id: "train", albums[2].album_id: "test"})
+        ours, oracle = io.StringIO(), io.StringIO()
+        write_feature_csv(ds, ours)
+        _write_feature_csv_per_cell(ds, oracle)
+        assert ours.getvalue() == oracle.getvalue()
+        assert "-0.0,5e-324,1e+16,0.1," in ours.getvalue()
 
 
 class TestSplits:

@@ -32,6 +32,8 @@ class TestConstruction:
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError, match="increasing"):
             build_spline([0.0, 0.5, 0.5, 1.0], [0, 1, 2, 3])
+        with pytest.raises(ValueError, match="increasing"):
+            build_spline([0.0, np.nan, 1.0], [0, 1, 2])
         with pytest.raises(ValueError, match="span"):
             build_spline([0.0, 0.5, 0.9], [0, 1, 2])
         with pytest.raises(ValueError, match="count"):
