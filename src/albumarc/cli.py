@@ -113,6 +113,8 @@ class App:
             if required:
                 raise ConfigError(f"config paths.{key} is required for this command")
             return None
+        with _config_section("paths"):
+            check_type(key, value, "str")
         p = Path(value)
         if not p.is_absolute():
             p = self.config_path.parent / p
@@ -361,6 +363,8 @@ def train_cmd(app: App):
         )
         return
     with _config_section("train"):
+        if not isinstance(dims, list) or not dims:
+            raise TypeError(f"dims must be a non-empty list of essence dimensions, got {dims!r}")
         configs = [_section_config(app, "train", TrainConfig, essence_dim=d) for d in dims]
     prov = app.provenance(app.effective_seed("train"))
     dataset = _load_dataset(app, features=True)
@@ -387,10 +391,15 @@ def train_cmd(app: App):
 def probe(app: App):
     """Estimate the order information carried by fixed scalar features."""
     config = _section_config(app, "train", TrainConfig)
+    features = app.section("probe").get("features")
+    if features is not None:
+        with _config_section("probe"):
+            if not (isinstance(features, list) and features
+                    and all(isinstance(f, str) for f in features)):
+                raise TypeError(f"features must be a non-empty list of feature names, got {features!r}")
     prov = app.provenance(config.seed)
     dataset = _load_dataset(app, features=False)
     scalars = load_scalar_table(app.path("scalars"))
-    features = app.section("probe").get("features")
     if features is None:
         features = sorted(scalars)
     results = {}
@@ -500,10 +509,13 @@ def evaluate(app: App):
     with _config_section("evaluate"):
         check_type("alpha", alpha, "float")
         check_alpha(alpha)
+    ga_k = app.section("ga").get("n_templates")
+    if ga_k is not None:
+        with _config_section("ga"):
+            check_type("n_templates", ga_k, "int")
     prov = app.provenance(seed)
     dataset = _load_dataset(app, features=_essence_from_model(app))
     template_set = _load_templates(app)
-    ga_k = app.section("ga").get("n_templates")
     if ga_k is not None and ga_k != template_set.n_templates:
         raise ConfigError(
             f"config ga.n_templates={ga_k} does not match templates file k={template_set.n_templates}"

@@ -75,18 +75,14 @@ class Album:
     def __len__(self) -> int:
         return len(self.tracks)
 
-    @property
-    def track_ids(self) -> tuple[str, ...]:
-        return tuple(t.track_id for t in self.tracks)
-
 
 @dataclass(frozen=True)
 class EssenceSeries:
     """Per-track essence values of one album, in a stated order.
 
     ``values`` has shape ``(n,)`` for scalar essence or ``(n, d)`` for vector
-    essence.  ``normalization`` records which convention produced the values:
-    ``"raw"``, ``"zscore"`` or ``"minmax"``.
+    essence.  ``normalization`` records whether the values are ``"raw"`` or
+    ``"minmax"`` normalized.
     """
 
     album_id: str
@@ -94,7 +90,7 @@ class EssenceSeries:
     normalization: str = "raw"
 
     def __post_init__(self):
-        if self.normalization not in ("raw", "zscore", "minmax"):
+        if self.normalization not in ("raw", "minmax"):
             raise ValueError(f"unknown normalization tag {self.normalization!r}")
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim not in (1, 2) or values.shape[0] == 0:
@@ -144,27 +140,18 @@ class Ordering:
     def __len__(self) -> int:
         return len(self.positions)
 
-    @classmethod
-    def identity(cls, n: int) -> "Ordering":
-        return cls(tuple(range(n)))
-
-    def apply(self, items):
-        """Reorder ``items`` so that position j holds ``items[positions[j]]``."""
-        return [items[i] for i in self.positions]
-
 
 def normalize_minmax(values) -> np.ndarray:
-    """Affinely map ``values`` onto [0, 1]; a constant series maps to all 0.5."""
+    """Affinely map ``values`` onto [0, 1] along the last axis; a constant
+    series (row) maps to all 0.5."""
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("cannot normalize an empty series")
     if not np.all(np.isfinite(v)):
         raise ValueError("cannot normalize non-finite values")
-    lo = v.min()
-    hi = v.max()
-    if hi == lo:
-        return np.full_like(v, 0.5)
-    return (v - lo) / (hi - lo)
+    lo = v.min(axis=-1, keepdims=True)
+    span = v.max(axis=-1, keepdims=True) - lo
+    return np.divide(v - lo, span, out=np.full_like(v, 0.5), where=span > 0)
 
 
 def minmax_series(values) -> np.ndarray:

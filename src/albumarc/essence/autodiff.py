@@ -27,24 +27,6 @@ class Tensor:
         self._parents = parents
         self._backward = backward if requires_grad else None
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 def as_tensor(value) -> Tensor:
     """``value`` itself if it is a Tensor, else a constant holding it."""

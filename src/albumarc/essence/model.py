@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import N_FEATURES, N_STATS, TrackFeatures
+from ..core import N_FEATURES, N_STATS
 from . import autodiff as ad
 
 
@@ -29,7 +29,6 @@ class ExtractorArch:
     in_dim: int = N_FEATURES * N_STATS
     hidden: int = 128
     out_dim: int = 1
-    dropout: float = 0.1
 
     def param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         return [
@@ -138,10 +137,6 @@ class EssenceModel:
         if self.input_std is None:
             self.input_std = np.ones(self.extractor_arch.in_dim)
 
-    @property
-    def essence_dim(self) -> int:
-        return self.extractor_arch.out_dim
-
     @classmethod
     def initialize(
         cls,
@@ -150,9 +145,8 @@ class EssenceModel:
         extractor_hidden: int = 128,
         scorer_hidden: int = 32,
         in_dim: int = N_FEATURES * N_STATS,
-        dropout: float = 0.1,
     ) -> "EssenceModel":
-        ext = ExtractorArch(in_dim=in_dim, hidden=extractor_hidden, out_dim=essence_dim, dropout=dropout)
+        ext = ExtractorArch(in_dim=in_dim, hidden=extractor_hidden, out_dim=essence_dim)
         sco = ScorerArch(essence_dim=essence_dim, hidden=scorer_hidden)
         return cls(
             extractor_arch=ext,
@@ -171,22 +165,6 @@ class EssenceModel:
             raise ValueError("non-finite track features")
         return self.extractor_graph(self.standardize(x), self.extractor_params).data
 
-    def extract(self, track: TrackFeatures) -> np.ndarray:
-        """Essence vector for one track; deterministic, entries in (0, 1)."""
-        return self.extract_matrix(track.flat[None, :])[0]
-
-    def score_sequence(self, sequence: np.ndarray) -> float:
-        """Scalar score of an essence sequence (n, d); start/end tokens are
-        added internally.  Unbounded output."""
-        seq = np.asarray(sequence, dtype=np.float64)
-        if seq.ndim == 1:
-            seq = seq[:, None]
-        if seq.shape[0] == 0:
-            raise ValueError("cannot score an empty sequence")
-        if not np.all(np.isfinite(seq)):
-            raise ValueError("non-finite sequence values")
-        return float(self.scorer_graph(ad.Tensor(seq[None, :, :]), self.scorer_params).data[0])
-
     def extractor_graph(
         self,
         x_std: np.ndarray,
@@ -201,21 +179,7 @@ class EssenceModel:
             h = ad.mul(h, dropout_mask)
         return ad.sigmoid(ad.add(ad.matmul(h, params["w2"]), params["b2"]))
 
-    def scorer_graph(self, sequences: ad.Tensor, params: dict[str, ad.Tensor]) -> ad.Tensor:
-        """Scores (n_seq,) for a batch of sequences (n_seq, length, d)."""
-        return score_sequences_graph(sequences, params)
-
     # ---------------------------------------------------------------- persistence
-
-    def copy(self) -> "EssenceModel":
-        return EssenceModel(
-            extractor_arch=self.extractor_arch,
-            scorer_arch=self.scorer_arch,
-            extractor_params={k: v.copy() for k, v in self.extractor_params.items()},
-            scorer_params={k: v.copy() for k, v in self.scorer_params.items()},
-            input_mean=self.input_mean.copy(),
-            input_std=self.input_std.copy(),
-        )
 
     def to_dict(self) -> dict:
         ext, sco = self.extractor_arch, self.scorer_arch
@@ -224,7 +188,6 @@ class EssenceModel:
                 "in_dim": ext.in_dim,
                 "hidden": ext.hidden,
                 "out_dim": ext.out_dim,
-                "dropout": ext.dropout,
                 "hidden_activation": "tanh",
                 "output_activation": "sigmoid",
             },
@@ -244,12 +207,7 @@ class EssenceModel:
     def from_dict(cls, doc: dict) -> "EssenceModel":
         ea = doc["extractor_arch"]
         sa = doc["scorer_arch"]
-        ext = ExtractorArch(
-            in_dim=int(ea["in_dim"]),
-            hidden=int(ea["hidden"]),
-            out_dim=int(ea["out_dim"]),
-            dropout=float(ea["dropout"]),
-        )
+        ext = ExtractorArch(in_dim=int(ea["in_dim"]), hidden=int(ea["hidden"]), out_dim=int(ea["out_dim"]))
         sco = ScorerArch(essence_dim=int(sa["essence_dim"]), hidden=int(sa["hidden"]))
         return cls(
             extractor_arch=ext,

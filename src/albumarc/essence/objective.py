@@ -81,10 +81,10 @@ def contrastive_permutations(
     return perms
 
 
-def _ordering_loss(normalized: ad.Tensor, perms: np.ndarray, scorer, sco_params) -> ad.Tensor:
+def _ordering_loss(normalized: ad.Tensor, perms: np.ndarray, sco_params) -> ad.Tensor:
     """-log softmax(scores)[0] over the candidate orderings ``perms`` (N, length)
     of the z-scored rows ``normalized``; row 0 of ``perms`` is the true order."""
-    scores = scorer(ad.gather_rows(normalized, perms), sco_params)
+    scores = score_sequences_graph(ad.gather_rows(normalized, perms), sco_params)
     true_score = ad.narrow(scores, 0, 0, 1)
     return ad.sub(ad.logsumexp(scores), ad.reshape(true_score, ()))
 
@@ -107,7 +107,7 @@ def album_loss_graph(
     mean = ad.tmean(essence, axis=0, keepdims=True)
     centered = ad.sub(essence, mean)
     std = ad.sqrt(ad.add(ad.tmean(ad.square(centered), axis=0, keepdims=True), 1e-12))
-    return _ordering_loss(ad.div(centered, std), perms, model.scorer_graph, sco_params)
+    return _ordering_loss(ad.div(centered, std), perms, sco_params)
 
 
 def scorer_loss_graph(
@@ -117,5 +117,5 @@ def scorer_loss_graph(
 ) -> ad.Tensor:
     """Contrastive-loss graph with a fixed (already z-scored) value sequence;
     only the scorer parameters are in the graph."""
-    return _ordering_loss(ad.as_tensor(values), perms, score_sequences_graph, sco_params)
+    return _ordering_loss(ad.as_tensor(values), perms, sco_params)
 

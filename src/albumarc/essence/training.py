@@ -256,7 +256,6 @@ def train(dataset, config: TrainConfig) -> tuple[EssenceModel, list[EpochStats]]
         essence_dim=config.essence_dim,
         extractor_hidden=config.extractor_hidden,
         scorer_hidden=config.scorer_hidden,
-        dropout=config.dropout,
     )
     model.input_mean, model.input_std = input_stats(train_albums)
     nets = [

@@ -16,6 +16,7 @@ import csv
 import hashlib
 import io
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,14 +57,12 @@ LATENT_SHAPES = ("rising", "falling", "valley", "peak")
 class Dataset:
     """A collection of albums with per-album split assignments.
 
-    ``split`` is None for a mixed dataset and a split tag for the result of
-    :meth:`subset`.  ``scalar_features`` maps feature name -> track_id ->
-    value for probe features.
+    ``scalar_features`` maps feature name -> track_id -> value for probe
+    features.
     """
 
     albums: tuple[Album, ...]
     split_of: dict = field(default_factory=dict)
-    split: str | None = None
     scalar_features: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -76,7 +75,7 @@ class Dataset:
         if split not in SPLITS:
             raise ValueError(f"unknown split {split!r}")
         kept = tuple(a for a in self.albums if self.split_of.get(a.album_id) == split)
-        return replace(self, albums=kept, split=split)
+        return replace(self, albums=kept)
 
     def track_count(self) -> int:
         return sum(len(a) for a in self.albums)
@@ -358,9 +357,12 @@ def load_essence_csv(path) -> tuple[list[str], np.ndarray]:
             raise IngestError(f"{path}:{line_no}: duplicate track_id {row[0]!r}")
         seen.add(row[0])
         try:
-            values.append([float(x) for x in row[1:]])
+            cells = [float(x) for x in row[1:]]
         except ValueError:
             raise IngestError(f"{path}:{line_no}: non-numeric essence value") from None
+        if not all(math.isfinite(x) for x in cells):
+            raise IngestError(f"{path}:{line_no}: non-finite essence value")
+        values.append(cells)
         track_ids.append(row[0])
     if not track_ids:
         raise IngestError(f"{path}: no essence rows")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_field_types, minmax_series, relative_positions
+from .core import check_field_types, minmax_series, normalize_minmax, relative_positions
 from .spline import DEFAULT_KNOTS, TemplateCurve, build_spline, sampling_matrix
 
 
@@ -48,7 +48,7 @@ class TemplateSet:
 
     def curves(self) -> list[TemplateCurve]:
         """Splines over the min-max renormalized control values."""
-        return [build_spline(self.xs, row) for row in _renorm_rows(self.templates)]
+        return [build_spline(self.xs, row) for row in normalize_minmax(self.templates)]
 
     def to_dict(self) -> dict:
         doc = {
@@ -101,16 +101,6 @@ class GAConfig:
             raise ValueError("stagnation_patience must be positive")
 
 
-def _renorm_rows(rows: np.ndarray) -> np.ndarray:
-    """Min-max normalize each row; constant rows map to all 0.5."""
-    lo = rows.min(axis=1, keepdims=True)
-    span = rows.max(axis=1, keepdims=True) - lo
-    out = np.full_like(rows, 0.5)
-    ok = span[:, 0] > 0
-    out[ok] = (rows[ok] - lo[ok]) / span[ok]
-    return out
-
-
 def _length_groups(values_list: list[np.ndarray], xs: np.ndarray):
     """Group albums by length and precompute the spline sampling matrix for
     each length, so population cost reduces to matrix products."""
@@ -127,7 +117,7 @@ def _length_groups(values_list: list[np.ndarray], xs: np.ndarray):
 def _population_cost(population: np.ndarray, groups) -> np.ndarray:
     """Summed per-album fitting cost for every individual, shape (m,)."""
     m, k, q = population.shape
-    normalized = _renorm_rows(population.reshape(m * k, q))
+    normalized = normalize_minmax(population.reshape(m * k, q))
     total = np.zeros(m)
     for sampler, album_values, length in groups:
         samples = normalized @ sampler.T
@@ -140,18 +130,6 @@ def _population_cost(population: np.ndarray, groups) -> np.ndarray:
         per_album = sq.reshape(m, k, -1).min(axis=1)
         total += per_album.sum(axis=1) / length
     return total
-
-
-def template_cost(template_set: TemplateSet, albums) -> float:
-    """Total fitting cost of a template set over albums (min-max normalized
-    essence series): sum over albums of the best template's mean squared gap
-    at the album's relative positions."""
-    if not albums:
-        raise ValueError("no albums to score")
-    values_list = [minmax_series(a) for a in albums]
-    groups = _length_groups(values_list, template_set.xs)
-    population = template_set.templates[None, :, :]
-    return float(_population_cost(population, groups)[0])
 
 
 def evolve_templates(
@@ -213,7 +191,7 @@ def evolve_templates(
 
     best = TemplateSet(
         xs=grid,
-        templates=_renorm_rows(population[0]),
+        templates=normalize_minmax(population[0]),
         seed=config.seed,
         final_cost=float(costs[0]),
     )

@@ -19,6 +19,8 @@ The differential tests in ``test_essence.py`` hold the package to these.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from albumarc.core import Album
@@ -108,7 +110,7 @@ def album_loss_graph(
     std = ad.sqrt(ad.add(ad.tmean(ad.square(centered), axis=0, keepdims=True), 1e-12))
     normalized = ad.div(centered, std)
     sequences = ad.gather_rows(normalized, perms)
-    scores = model.scorer_graph(sequences, sco_params)
+    scores = score_sequences_graph(sequences, sco_params)
     true_score = ad.narrow(scores, 0, 0, 1)
     return ad.sub(ad.logsumexp(scores), ad.reshape(true_score, ()))
 
@@ -186,7 +188,6 @@ def train(dataset, config: TrainConfig) -> tuple[EssenceModel, list[EpochStats]]
         essence_dim=config.essence_dim,
         extractor_hidden=config.extractor_hidden,
         scorer_hidden=config.scorer_hidden,
-        dropout=config.dropout,
     )
     model.input_mean, model.input_std = input_stats(train_albums)
 
@@ -205,7 +206,7 @@ def train(dataset, config: TrainConfig) -> tuple[EssenceModel, list[EpochStats]]
 
     history: list[EpochStats] = []
     best_loss = np.inf
-    best_model = model.copy()
+    best_model = copy.deepcopy(model)
     stale = 0
     hidden = config.extractor_hidden
     for epoch in range(config.max_epochs):
@@ -254,7 +255,7 @@ def train(dataset, config: TrainConfig) -> tuple[EssenceModel, list[EpochStats]]
         )
         if val_loss < best_loss:
             best_loss = val_loss
-            best_model = model.copy()
+            best_model = copy.deepcopy(model)
             stale = 0
         else:
             stale += 1

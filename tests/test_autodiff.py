@@ -66,15 +66,6 @@ class TestElementwiseOps:
         xp = np.abs(x) + 0.5
         check_op(lambda t: scalarize(ad.sqrt(t)), xp)
 
-    def test_operator_sugar_matches_functions(self):
-        a = Tensor(rng.standard_normal(4))
-        b = rng.standard_normal(4)
-        np.testing.assert_array_equal((a + b).data, ad.add(a, b).data)
-        np.testing.assert_array_equal((a - b).data, ad.sub(a, b).data)
-        np.testing.assert_array_equal((a * b).data, ad.mul(a, b).data)
-        np.testing.assert_array_equal((a / (b + 3)).data, ad.div(a, b + 3).data)
-        np.testing.assert_array_equal((-a).data, -a.data)
-
 
 class TestBroadcasting:
     def test_row_broadcast_gradients_sum(self):

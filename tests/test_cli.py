@@ -362,6 +362,10 @@ class TestErrors:
             ("evaluate", "evaluate", {"split": "dev"}),
             ("synth", "synth", {"n_albums": "many"}),
             ("synth", "synth", {"n_albums": "30"}),
+            ("train", "paths", {"dataset": 5}),
+            ("train", "train", {"dims": []}),
+            ("probe", "probe", {"features": "latent"}),
+            ("evaluate", "ga", {"n_templates": "1"}),
         ]
         for command, section, patch in cases:
             doc = json.loads(config.read_text())
@@ -377,6 +381,20 @@ class TestErrors:
             assert result.returncode == 2, (patch, result.stderr)
             assert f"config section {section!r}" in result.stderr
             assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", ["fit", "reorder"])
+    @pytest.mark.parametrize("cell", ["nan", "-inf"])
+    def test_non_finite_essence_value(self, workspace, tmp_path, command, cell):
+        # A non-finite cell in paths.essence is a data error (exit 2) naming
+        # the file and line.
+        _, out, _, _, _ = workspace
+        (tmp_path / "album.csv").write_text(f"track_id,essence_1\nt1,0.2\nt2,{cell}\nt3,0.7\n")
+        config = tmp_path / "album_config.json"
+        paths = {"templates": str(out / "templates.json"), "essence": "album.csv"}
+        config.write_text(json.dumps({"version": 1, "paths": paths}))
+        result = run("--config", str(config), "--out", str(tmp_path), command)
+        assert result.returncode == 2, result.stderr
+        assert "album.csv:3: non-finite essence value" in result.stderr
 
     def test_missing_essence_track(self, workspace, tmp_path):
         # A track absent from paths.essence is a data error (exit 2) naming

@@ -1,5 +1,7 @@
 """Contrastive objective, extractor/scorer networks, training, and probes."""
 
+import copy
+import json
 import warnings
 
 import numpy as np
@@ -14,6 +16,7 @@ from albumarc.essence.model import (
     ScorerArch,
     flatten_params,
     init_params,
+    score_sequences_graph,
     unflatten_params,
 )
 from albumarc.essence.objective import (
@@ -45,6 +48,11 @@ def tiny_model(rng=None, d=1, in_dim=6, hidden=5, scorer_hidden=4):
         scorer_hidden=scorer_hidden,
         in_dim=in_dim,
     )
+
+
+def score_one(model, sequence):
+    """The scorer's score of one (n, d) essence sequence."""
+    return float(score_sequences_graph(ad.as_tensor(sequence[None]), model.scorer_params).data[0])
 
 
 def make_album(album_id, n, rng):
@@ -166,7 +174,7 @@ class TestContrastiveSet:
             model, model.standardize(flat), perms, model.extractor_params, model.scorer_params
         )
         normalized = zscore_columns(model.extract_matrix(flat))
-        scores = np.array([model.score_sequence(normalized[p]) for p in perms])
+        scores = np.array([score_one(model, normalized[p]) for p in perms])
         assert float(loss.data) == pytest.approx(info_nce_loss(scores, 0), abs=1e-12)
         np.testing.assert_array_equal(normalized[perms[0]], normalized)
 
@@ -188,13 +196,13 @@ class TestExtractor:
         model.extractor_params["w2"][:] = 0.0
         model.extractor_params["b2"][:] = 0.0
         track = TrackFeatures("t", np.random.default_rng(0).standard_normal((75, 7)))
-        np.testing.assert_allclose(model.extract(track), 0.5, atol=1e-12)
+        np.testing.assert_allclose(model.extract_matrix(track.flat)[0], 0.5, atol=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)
         model = tiny_model(in_dim=525)
         track = TrackFeatures("t", rng.standard_normal((75, 7)))
-        np.testing.assert_array_equal(model.extract(track), model.extract(track))
+        np.testing.assert_array_equal(model.extract_matrix(track.flat), model.extract_matrix(track.flat))
 
     def test_dead_input_ignored(self):
         rng = np.random.default_rng(11)
@@ -203,8 +211,8 @@ class TestExtractor:
         stats = rng.standard_normal((75, 7))
         other = stats.copy()
         other[11, 0] += 5.0  # flat index 11*7+0 = 77
-        a = model.extract(TrackFeatures("a", stats))
-        b = model.extract(TrackFeatures("b", other))
+        a = model.extract_matrix(TrackFeatures("a", stats).flat)
+        b = model.extract_matrix(TrackFeatures("b", other).flat)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_output_in_unit_interval(self):
@@ -239,21 +247,21 @@ class TestScorer:
             model.scorer_params[key][:] = 0.0
         rng = np.random.default_rng(13)
         for n in (1, 3, 7):
-            assert model.score_sequence(rng.standard_normal((n, 1))) == 0.0
+            assert score_one(model, rng.standard_normal((n, 1))) == 0.0
 
     def test_deterministic_and_order_sensitive(self):
         model = tiny_model()
         seq = np.array([[0.1], [0.9], [0.4]])
-        assert model.score_sequence(seq) == model.score_sequence(seq)
+        assert score_one(model, seq) == score_one(model, seq)
         # A freshly initialized scorer is generically order-sensitive.
-        assert model.score_sequence(seq) != model.score_sequence(seq[::-1])
+        assert score_one(model, seq) != score_one(model, seq[::-1])
 
     def test_batch_path_matches_single_path(self):
         model = tiny_model(d=2)
         rng = np.random.default_rng(14)
         seqs = rng.standard_normal((5, 4, 2))
         batch = oracle.score_sequences_np(seqs, model.scorer_params)
-        singles = [model.score_sequence(s) for s in seqs]
+        singles = [score_one(model, s) for s in seqs]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
     def test_graph_path_matches_numpy_path(self):
@@ -261,14 +269,16 @@ class TestScorer:
         rng = np.random.default_rng(15)
         seqs = rng.standard_normal((4, 6, 3))
         params_t = {k: ad.Tensor(v) for k, v in model.scorer_params.items()}
-        graph = model.scorer_graph(ad.Tensor(seqs), params_t)
+        graph = score_sequences_graph(ad.Tensor(seqs), params_t)
         np.testing.assert_allclose(
             graph.data, oracle.score_sequences_np(seqs, model.scorer_params), atol=1e-12
         )
 
     def test_empty_sequence_rejected(self):
+        # Sequences reach the scorer only as candidate orderings of an
+        # album, and an empty album has none.
         with pytest.raises(ValueError):
-            tiny_model().score_sequence(np.zeros((0, 1)))
+            contrastive_permutations(0, 8, np.random.default_rng(0))
 
 
 class TestGradients:
@@ -339,10 +349,24 @@ class TestPersistence:
         np.testing.assert_array_equal(clone.input_mean, model.input_mean)
 
     def test_copy_is_independent(self):
+        # The oracle keeps its best model with copy.deepcopy.
         model = tiny_model()
-        clone = model.copy()
+        clone = copy.deepcopy(model)
         clone.extractor_params["w1"][0, 0] += 1.0
         assert model.extractor_params["w1"][0, 0] != clone.extractor_params["w1"][0, 0]
+
+    def test_loads_model_with_extractor_dropout_key(self):
+        # A model.json from an earlier version also has
+        # extractor_arch.dropout; it loads and gives the same essence.
+        model = tiny_model(in_dim=525)
+        model.input_mean = np.random.default_rng(26).standard_normal(525)
+        doc = model.to_dict()
+        assert "dropout" not in doc["extractor_arch"]
+        doc["extractor_arch"]["dropout"] = 0.1
+        old = EssenceModel.from_dict(json.loads(json.dumps(doc)))
+        flat = np.random.default_rng(27).standard_normal((9, 525))
+        np.testing.assert_array_equal(old.extract_matrix(flat), model.extract_matrix(flat))
+        assert old.to_dict() == model.to_dict()
 
     def test_flatten_unflatten_roundtrip(self):
         arch = ScorerArch(essence_dim=3, hidden=5)
@@ -551,7 +575,7 @@ class TestAgainstOracle:
             )
             seqs = rng.standard_normal((int(rng.integers(1, 33)), int(rng.integers(1, 21)), d))
             np.testing.assert_allclose(
-                [model.score_sequence(s) for s in seqs],
+                [score_one(model, s) for s in seqs],
                 oracle.score_sequences_np(seqs, model.scorer_params),
                 rtol=0,
                 atol=1e-12,
