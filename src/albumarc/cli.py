@@ -366,6 +366,8 @@ def train_cmd(app: App):
         if not isinstance(dims, list) or not dims:
             raise TypeError(f"dims must be a non-empty list of essence dimensions, got {dims!r}")
         configs = [_section_config(app, "train", TrainConfig, essence_dim=d) for d in dims]
+    if len({c.essence_dim for c in configs}) < len(configs):
+        raise ConfigError(f"config train.dims repeats an essence dimension: {dims!r}")
     prov = app.provenance(app.effective_seed("train"))
     dataset = _load_dataset(app, features=True)
     summary = []

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import stats
 
 from .core import Ordering, album_values, normalize_minmax
-from .fitcurve import fit_ordering
+from .fitcurve import _fit, sample_template
 from .templates import TemplateSet
 
 log = logging.getLogger(__name__)
@@ -27,18 +27,39 @@ COMPARISONS = ("learned_vs_random", "learned_vs_shuffled")
 
 def levenshtein(a, b) -> int:
     """Minimum unit-cost insertions + deletions + substitutions turning
-    sequence a into sequence b."""
+    sequence a into sequence b; items are hashable and compared by equality.
+
+    Bit-parallel (Myers 1999, *J. ACM* 46(3), as Hyyrö 2001 states it): bit
+    i of the vertical delta vectors ``pv``/``mv`` is +1/-1 between rows i and
+    i+1 of the current DP column, with the rows over ``a`` and Python ints as
+    bit vectors, so each item of ``b`` costs O(1) big-int operations.
+    """
     a = list(a)
-    b = list(b)
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, item_a in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, item_b in enumerate(b, start=1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (item_a != item_b))
-        prev = cur
-    return prev[-1]
+    m = len(a)
+    if not m:
+        return len(list(b))
+    match: dict = {}
+    for i, item in enumerate(a):
+        match[item] = match.get(item, 0) | 1 << i
+    mask = (1 << m) - 1
+    top = 1 << (m - 1)
+    pv, mv, dist = mask, 0, m
+    for item in b:
+        eq = match.get(item, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            dist += 1
+        elif mh & top:
+            dist -= 1
+        # Row 0 of every DP column grows by one: a +1 horizontal delta enters.
+        ph = ph << 1 | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
 
 
 def _as_positions(ordering) -> tuple[int, ...]:
@@ -160,19 +181,20 @@ class EvalReport:
         }
 
 
-def _evaluate_album(album_id, values, curves, rng) -> AlbumEval:
+def _evaluate_album(album_id, values, targets, rng) -> AlbumEval:
+    """Score one album; ``targets`` holds each template sampled at its length."""
     n = values.shape[0]
     y = normalize_minmax(values)
     truth = tuple(range(n))
-    fits = [fit_ordering(y, curve) for curve in curves]
+    fits = [_fit(y, z) for z in targets]
     best_template = min(
         range(len(fits)), key=lambda p: (fits[p].bottleneck, fits[p].total_deviation, p)
     )
     learned = string_edit_score([f.ordering for f in fits], truth)
-    random_orderings = [tuple(rng.permutation(n)) for _ in range(len(curves))]
+    random_orderings = [tuple(rng.permutation(n)) for _ in range(len(targets))]
     random_score = string_edit_score(random_orderings, truth)
     shuffled = y[rng.permutation(n)]
-    shuffled_fits = [fit_ordering(shuffled, curve) for curve in curves]
+    shuffled_fits = [_fit(shuffled, z) for z in targets]
     shuffled_score = string_edit_score([f.ordering for f in shuffled_fits], truth)
     return AlbumEval(
         album_id=album_id,
@@ -202,9 +224,13 @@ def evaluate_templates(
     if not series:
         raise ValueError("no albums to evaluate")
     curves = template_set.curves()
+    lengths = {values.shape[0] for _, values in series}
+    targets = {n: [sample_template(curve, n) for curve in curves] for n in lengths}
     seeds = np.random.SeedSequence(seed).spawn(len(series))
     evals = [
-        _evaluate_album(album_id, values, curves, np.random.default_rng(album_seed))
+        _evaluate_album(
+            album_id, values, targets[values.shape[0]], np.random.default_rng(album_seed)
+        )
         for (album_id, values), album_seed in zip(series, seeds)
     ]
 

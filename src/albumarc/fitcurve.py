@@ -19,13 +19,17 @@ rank lies in the k-th remaining target's interval, so the sweep takes the
 targets in position order and gives each the smallest value index whose
 removal keeps that alignment valid.
 
-Cost: O(n log n) for the sorts and intervals, then per position a scan of its
-interval and an O(n) shift of the remaining arrays, all vectorized: O(n^2)
-time and O(n) memory.
+Cost: O(n log n) for the sorts and intervals.  The sweep then runs on Python
+lists: per position two binary searches, two scans that stop at the first
+blocking target, a ``min`` over the admissible slice and an O(n) ``del`` that
+shifts the remaining lists; O(n^2) time in the worst case and O(n) memory.
+At album lengths (n <= 20) this costs a few microseconds per position, where
+numpy calls on tiny arrays would cost more in call overhead than in work.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +100,7 @@ def _rank_intervals(ys: np.ndarray, zs: np.ndarray, bottleneck: float):
     return np.maximum(lo, low_cap), np.minimum(hi, high_cap[::-1])
 
 
-def _lex_smallest_assignment(order_y, order_z, lo, hi) -> np.ndarray:
+def _lex_smallest_assignment(order_y, order_z, lo, hi) -> list[int]:
     """Lexicographically smallest assignment ``x`` (value index per position)
     with each position ``j`` taking a value rank in its target's interval.
 
@@ -106,36 +110,36 @@ def _lex_smallest_assignment(order_y, order_z, lo, hi) -> np.ndarray:
     (k-th with k-th) inside their intervals, which is exactly when the rest
     can still be matched.
     """
-    n = order_y.size
-    z_rank = np.empty(n, dtype=np.intp)
-    z_rank[order_z] = np.arange(n)
-    # The first m columns hold what remains: value ranks with their indices,
-    # and target ranks with their intervals.  Removal shifts the tail left.
-    remaining_values = np.stack([np.arange(n), order_y])
-    remaining_targets = np.stack([np.arange(n), lo, hi])
-    ranks, rows = remaining_values
-    cols, lo_c, hi_c = remaining_targets
-    x = np.empty(n, dtype=np.intp)
-    for j in range(n):
-        m = n - j
-        k = z_rank[j]
-        a = int(cols[:m].searchsorted(k))
-        first = int(ranks[:m].searchsorted(lo[k], "left"))
-        last = int(ranks[:m].searchsorted(hi[k], "right")) - 1
+    n = len(order_y)
+    z_rank = [0] * n
+    for r, j in enumerate(order_z.tolist()):
+        z_rank[j] = r
+    lo, hi = lo.tolist(), hi.tolist()
+    # What remains: value ranks with their indices, and target ranks with
+    # their intervals.  Taking one deletes it, shifting the tail left.
+    ranks, rows = list(range(n)), order_y.tolist()
+    cols, lo_c, hi_c = list(range(n)), lo[:], hi[:]
+    x = []
+    for k in z_rank:
+        a = bisect_left(cols, k)
+        first = bisect_left(ranks, lo[k])
+        last = bisect_right(ranks, hi[k]) - 1
         # Taking ranks[b] for b < a realigns ranks[b+1..a] with the targets
         # one place to their left; each must stay within its new upper bound.
-        blocked = (ranks[first + 1 : a + 1] > hi_c[first:a]).nonzero()[0]
-        if blocked.size:
-            first += int(blocked[-1]) + 1
+        for i in range(a - 1, first - 1, -1):
+            if ranks[i + 1] > hi_c[i]:
+                first = i + 1
+                break
         # For b > a, targets a+1..b realign with the ranks one place to their
         # left; each lower bound must still admit its new rank.
-        blocked = (lo_c[a + 1 : last + 1] > ranks[a:last]).nonzero()[0]
-        if blocked.size:
-            last = a + int(blocked[0])
-        b = first + int(rows[first : last + 1].argmin())
-        x[j] = rows[b]
-        remaining_values[:, b : m - 1] = remaining_values[:, b + 1 : m]
-        remaining_targets[:, a : m - 1] = remaining_targets[:, a + 1 : m]
+        for i in range(a + 1, last + 1):
+            if lo_c[i] > ranks[i - 1]:
+                last = i - 1
+                break
+        row = min(rows[first : last + 1])
+        b = rows.index(row, first)
+        x.append(row)
+        del ranks[b], rows[b], cols[a], lo_c[a], hi_c[a]
     return x
 
 
@@ -148,13 +152,18 @@ def fit_ordering(values, curve: TemplateCurve) -> FitResult:
     deviation, then the total deviation, then is lexicographically smallest.
     """
     y = minmax_series(values)
-    z = sample_template(curve, y.shape[0])
+    return _fit(y, sample_template(curve, y.shape[0]))
+
+
+def _fit(y: np.ndarray, z: np.ndarray) -> FitResult:
+    """:func:`fit_ordering` of checked values ``y`` onto targets ``z``, which
+    :func:`sample_template` gave for ``y``'s length."""
     order_y = np.argsort(y, kind="stable")
     order_z = np.argsort(z, kind="stable")
     ys, zs = y[order_y], z[order_z]
     bottleneck = float(np.abs(ys - zs).max())
     lo, hi = _rank_intervals(ys, zs, bottleneck)
-    x = _lex_smallest_assignment(order_y, order_z, lo, hi).tolist()
+    x = _lex_smallest_assignment(order_y, order_z, lo, hi)
 
     per_position = np.abs(y[x] - z)
     return FitResult(

@@ -192,11 +192,17 @@ def load_scalar_table(path) -> dict[str, dict[str, float]]:
             if cell == "":
                 continue
             try:
-                table[name][row[0]] = float(cell)
+                value = float(cell)
             except ValueError:
                 raise IngestError(
                     f"{path}:{line_no}: non-numeric value {cell!r} for {name}"
                 ) from None
+            if not math.isfinite(value):
+                raise IngestError(
+                    f"{path}:{line_no}: non-finite value {cell!r} for {name} "
+                    f"of track {row[0]!r}"
+                )
+            table[name][row[0]] = value
     return table
 
 

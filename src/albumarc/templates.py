@@ -102,15 +102,17 @@ class GAConfig:
 
 
 def _length_groups(values_list: list[np.ndarray], xs: np.ndarray):
-    """Group albums by length and precompute the spline sampling matrix for
-    each length, so population cost reduces to matrix products."""
+    """Group albums by length and precompute the spline sampling matrix and
+    the albums' squared norms for each length, so population cost reduces to
+    matrix products."""
     by_len: dict[int, list[np.ndarray]] = {}
     for v in values_list:
         by_len.setdefault(v.shape[0], []).append(v)
     groups = []
     for length in sorted(by_len):
         sampler = sampling_matrix(xs, relative_positions(length))
-        groups.append((sampler, np.stack(by_len[length]), length))
+        album_values = np.stack(by_len[length])
+        groups.append((sampler, album_values, (album_values**2).sum(axis=1), length))
     return groups
 
 
@@ -119,11 +121,11 @@ def _population_cost(population: np.ndarray, groups) -> np.ndarray:
     m, k, q = population.shape
     normalized = normalize_minmax(population.reshape(m * k, q))
     total = np.zeros(m)
-    for sampler, album_values, length in groups:
+    for sampler, album_values, album_norms, length in groups:
         samples = normalized @ sampler.T
         sq = (
             (samples**2).sum(axis=1)[:, None]
-            + (album_values**2).sum(axis=1)[None, :]
+            + album_norms[None, :]
             - 2.0 * (samples @ album_values.T)
         )
         np.maximum(sq, 0.0, out=sq)

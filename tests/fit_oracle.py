@@ -10,6 +10,10 @@ the edges tight under those duals to the lexicographically smallest ordering.
 Worst-case time is O(n^3) for the assignment step plus O(E * sqrt(n)) per
 feasibility check.  The differential tests in ``test_fitcurve.py`` compare the
 production solver against :func:`fit_ordering` here.
+
+:func:`lex_smallest_assignment` is the 1-D solver's interval sweep as numpy
+array code, before it became list code; the sweep is checked against it on
+the same intervals.
 """
 
 from __future__ import annotations
@@ -258,6 +262,39 @@ def _lex_smallest_perfect_matching(
         fixed_col[j] = True
         fixed_row[row_of_col[j]] = True
     return row_of_col
+
+
+def lex_smallest_assignment(order_y, order_z, lo, hi) -> np.ndarray:
+    """Lexicographically smallest assignment ``x`` (value index per position)
+    with each position ``j`` taking a value rank in its target's interval,
+    by the same rule as ``albumarc.fitcurve._lex_smallest_assignment``."""
+    n = order_y.size
+    z_rank = np.empty(n, dtype=np.intp)
+    z_rank[order_z] = np.arange(n)
+    # The first m columns hold what remains: value ranks with their indices,
+    # and target ranks with their intervals.  Removal shifts the tail left.
+    remaining_values = np.stack([np.arange(n), order_y])
+    remaining_targets = np.stack([np.arange(n), lo, hi])
+    ranks, rows = remaining_values
+    cols, lo_c, hi_c = remaining_targets
+    x = np.empty(n, dtype=np.intp)
+    for j in range(n):
+        m = n - j
+        k = z_rank[j]
+        a = int(cols[:m].searchsorted(k))
+        first = int(ranks[:m].searchsorted(lo[k], "left"))
+        last = int(ranks[:m].searchsorted(hi[k], "right")) - 1
+        blocked = (ranks[first + 1 : a + 1] > hi_c[first:a]).nonzero()[0]
+        if blocked.size:
+            first += int(blocked[-1]) + 1
+        blocked = (lo_c[a + 1 : last + 1] > ranks[a:last]).nonzero()[0]
+        if blocked.size:
+            last = a + int(blocked[0])
+        b = first + int(rows[first : last + 1].argmin())
+        x[j] = rows[b]
+        remaining_values[:, b : m - 1] = remaining_values[:, b + 1 : m]
+        remaining_targets[:, a : m - 1] = remaining_targets[:, a + 1 : m]
+    return x
 
 
 def fit_ordering(values, curve: TemplateCurve) -> FitResult:

@@ -396,6 +396,38 @@ class TestErrors:
         assert result.returncode == 2, result.stderr
         assert "album.csv:3: non-finite essence value" in result.stderr
 
+    def test_non_finite_scalar_value(self, workspace, tmp_path):
+        # A non-finite cell in paths.scalars is a data error (exit 2) naming
+        # the file, line, feature and track, before any probe training.
+        _, out, _, _, _ = workspace
+        lines = (out / "scalars.csv").read_text().splitlines(keepends=True)
+        header = lines[1].rstrip("\n").split(",")
+        row = lines[2].rstrip("\n").split(",")
+        column = header.index("latent")
+        row[column] = "nan"
+        lines[2] = ",".join(row) + "\n"
+        (tmp_path / "scalars.csv").write_text("".join(lines))
+        config = tmp_path / "probe_config.json"
+        paths = {"dataset": str(out / "dataset.csv"), "scalars": "scalars.csv"}
+        config.write_text(json.dumps({"version": 1, "paths": paths}))
+        result = run("--config", str(config), "--out", str(tmp_path), "probe")
+        assert result.returncode == 2, result.stderr
+        assert f"scalars.csv:3: non-finite value 'nan' for latent of track {row[0]!r}" in result.stderr
+
+    def test_repeated_train_dims(self, workspace, tmp_path):
+        # Repeated dimensions would train one model twice and list it twice
+        # in mi_by_dim.csv; they are a config error (exit 2) naming the key.
+        _, out, config, _, _ = workspace
+        doc = json.loads(config.read_text())
+        doc["paths"] = {"dataset": str(out / "dataset.csv")}
+        doc["train"]["dims"] = [1, 2, 1]
+        bad = tmp_path / "dims.json"
+        bad.write_text(json.dumps(doc))
+        result = run("--config", str(bad), "--out", str(tmp_path / "o"), "train")
+        assert result.returncode == 2, result.stderr
+        assert "train.dims repeats an essence dimension" in result.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_missing_essence_track(self, workspace, tmp_path):
         # A track absent from paths.essence is a data error (exit 2) naming
         # the track, in both commands that gather essence per album.

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from albumarc import evaluation
 from albumarc.core import Ordering
 from albumarc.evaluation import (
     COMPARISONS,
@@ -18,6 +19,7 @@ from albumarc.evaluation import (
     plot_rows,
     string_edit_score,
 )
+from albumarc.fitcurve import fit_ordering
 from albumarc.ingest import SynthConfig, synth_generate
 from albumarc.spline import DEFAULT_KNOTS
 from albumarc.templates import TemplateSet
@@ -25,6 +27,21 @@ from albumarc.templates import TemplateSet
 KNOTS = np.array(DEFAULT_KNOTS)
 
 short_seqs = st.lists(st.integers(min_value=0, max_value=3), max_size=8)
+
+
+def dp_levenshtein(a, b) -> int:
+    """The quadratic dynamic program ``levenshtein`` replaced, as its oracle."""
+    a = list(a)
+    b = list(b)
+    if len(a) < len(b):
+        a, b = b, a
+    prev = list(range(len(b) + 1))
+    for i, item_a in enumerate(a, start=1):
+        cur = [i] + [0] * len(b)
+        for j, item_b in enumerate(b, start=1):
+            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (item_a != item_b))
+        prev = cur
+    return prev[-1]
 
 
 class TestLevenshtein:
@@ -45,6 +62,43 @@ class TestLevenshtein:
     def test_integer_sequences(self):
         assert levenshtein((0, 1, 2, 3), (3, 1, 2, 0)) == 2
         assert levenshtein((0, 1, 2), (2, 0, 1)) == 2
+
+    def test_matches_dp_on_random_lists(self):
+        rng = np.random.default_rng(21)
+        for _ in range(3000):
+            la, lb = rng.choice(21, size=2, replace=False)
+            a = rng.integers(0, 5, la).tolist()
+            b = rng.integers(0, 5, lb).tolist()
+            assert levenshtein(a, b) == dp_levenshtein(a, b), (a, b)
+
+    def test_matches_dp_on_permutations(self):
+        rng = np.random.default_rng(22)
+        for _ in range(1500):
+            n = int(rng.integers(1, 21))
+            perm = tuple(rng.permutation(n).tolist())
+            identity = tuple(range(n))
+            want = dp_levenshtein(perm, identity)
+            assert levenshtein(perm, identity) == want, perm
+            assert levenshtein(identity, perm) == want, perm
+
+    def test_matches_dp_on_strings_and_tuples(self):
+        rng = np.random.default_rng(23)
+        letters = np.array(list("abcde"))
+        for _ in range(500):
+            a = "".join(letters[rng.integers(0, 5, rng.integers(0, 30))])
+            b = "".join(letters[rng.integers(0, 5, rng.integers(0, 30))])
+            assert levenshtein(a, b) == dp_levenshtein(a, b), (a, b)
+            pairs_a = list(zip(a, a[1:]))
+            pairs_b = list(zip(b, b[1:]))
+            assert levenshtein(pairs_a, pairs_b) == dp_levenshtein(pairs_a, pairs_b)
+
+    def test_long_sequences(self):
+        # Bit vectors wider than a machine word.
+        rng = np.random.default_rng(24)
+        for n in (63, 64, 65, 200):
+            a = rng.integers(0, 8, n).tolist()
+            b = rng.integers(0, 8, n + 3).tolist()
+            assert levenshtein(a, b) == dp_levenshtein(a, b)
 
     @given(short_seqs, short_seqs)
     def test_symmetry_and_bounds(self, a, b):
@@ -204,6 +258,35 @@ class TestEvaluateTemplates:
         lengths = {e.album_id: e.length for e in report.albums}
         for album in ds.albums:
             assert lengths[album.album_id] == len(album)
+
+    def test_fits_equal_fit_ordering(self, eval_setup, monkeypatch):
+        # evaluate_templates samples each template once per album length;
+        # every learned and shuffled fit must equal fit_ordering's.
+        ds, essence, _ = eval_setup
+        wavy = np.array([0.1, 0.9, 0.0, 1.0, 0.2, 0.8, 0.3])  # overshoots [0, 1]
+        templates = TemplateSet(xs=KNOTS, templates=np.stack([1.0 - KNOTS, KNOTS, wavy]))
+        calls = []
+
+        def recording_fit(y, z):
+            result = fit(y, z)
+            calls.append((y.copy(), result))
+            return result
+
+        fit = evaluation._fit
+        monkeypatch.setattr(evaluation, "_fit", recording_fit)
+        report = evaluate_templates(ds, essence, templates, seed=4)
+        monkeypatch.undo()
+
+        curves = templates.curves()
+        k = len(curves)
+        assert len(calls) == 2 * k * len(report.albums)
+        for i, (y, got) in enumerate(calls):
+            want = fit_ordering(y, curves[i % k])
+            assert got.ordering == want.ordering
+            assert got.bottleneck == want.bottleneck
+            assert got.total_deviation == want.total_deviation
+        again = evaluate_templates(ds, essence, templates, seed=4)
+        assert report.to_dict() == again.to_dict()
 
     def test_deterministic(self, eval_setup):
         ds, essence, templates = eval_setup

@@ -3,7 +3,8 @@
 ``fit_oracle`` holds the general bipartite solver (binary search with
 Hopcroft-Karp, Hungarian assignment, lex-min DFS) that the 1-D solver
 replaced; its primitives are tested here and it is the reference for the
-differential tests.
+differential tests.  It also holds the numpy form of the 1-D solver's
+interval sweep, the reference for the list sweep.
 """
 
 import itertools
@@ -15,13 +16,20 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from albumarc.core import EssenceSeries, Ordering
-from albumarc.fitcurve import FitResult, _rank_intervals, fit_ordering, sample_template
+from albumarc.fitcurve import (
+    FitResult,
+    _lex_smallest_assignment,
+    _rank_intervals,
+    fit_ordering,
+    sample_template,
+)
 from albumarc.spline import DEFAULT_KNOTS, build_spline
 
 from fit_oracle import (
     candidate_thresholds,
     fit_ordering as oracle_fit_ordering,
     has_perfect_matching,
+    lex_smallest_assignment as oracle_lex_smallest_assignment,
     max_bipartite_matching,
     min_cost_perfect_matching,
 )
@@ -299,6 +307,15 @@ class TestFitOrderingOptimality:
         assert first.bottleneck == second.bottleneck
 
 
+def assert_sweeps_agree(y, z):
+    order_y = np.argsort(y, kind="stable")
+    order_z = np.argsort(z, kind="stable")
+    ys, zs = y[order_y], z[order_z]
+    lo, hi = _rank_intervals(ys, zs, float(np.abs(ys - zs).max()))
+    got = _lex_smallest_assignment(order_y, order_z, lo, hi)
+    assert got == oracle_lex_smallest_assignment(order_y, order_z, lo, hi).tolist()
+
+
 class TestAgainstOracle:
     @pytest.mark.parametrize("kind", VALUE_KINDS)
     def test_matches_oracle_exactly(self, kind):
@@ -313,6 +330,24 @@ class TestAgainstOracle:
             assert got.ordering == want.ordering
             assert got.bottleneck == want.bottleneck
             assert got.total_deviation == pytest.approx(want.total_deviation, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", VALUE_KINDS)
+    def test_sweep_matches_array_sweep(self, kind):
+        # The list sweep against the numpy sweep it replaced, on the
+        # instances of test_matches_oracle_exactly.
+        rng = np.random.default_rng([13, VALUE_KINDS.index(kind)])
+        for _ in range(200):
+            n = int(rng.integers(2, 61))
+            y = make_values(kind, n, rng)
+            assert_sweeps_agree(y, sample_template(random_curve(rng), n))
+
+    @pytest.mark.parametrize("n", [200, 400])
+    @pytest.mark.parametrize("kind", ["constant", "two-level", "quarter-step"])
+    def test_sweep_matches_array_sweep_on_large_ties(self, kind, n):
+        rng = np.random.default_rng([17, n, VALUE_KINDS.index(kind)])
+        for _ in range(5):
+            y = make_values(kind, n, rng)
+            assert_sweeps_agree(y, sample_template(random_curve(rng), n))
 
     def test_rank_intervals_are_monotone_and_hold_the_sorted_matching(self):
         # The sweep's feasibility test rests on these two properties.
