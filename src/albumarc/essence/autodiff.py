@@ -2,9 +2,9 @@
 
 Just enough tape-based machinery for the feed-forward extractor and the
 pairwise sequence scorer: elementwise arithmetic with broadcasting, matrix
-products, reductions, smooth nonlinearities, row gathering and concatenation.
-Everything is float64 and single-threaded; graphs are built per loss
-evaluation and freed afterwards.
+products, segment sums, log-sum-exp, smooth nonlinearities, row gathering and
+concatenation.  Everything is float64 and single-threaded; graphs are built
+per minibatch or validation pass and freed afterwards.
 """
 
 from __future__ import annotations
@@ -155,35 +155,29 @@ def square(a) -> Tensor:
     return Tensor(a.data**2, (a,), backward)
 
 
-def tsum(a, axis=None, keepdims=False) -> Tensor:
+def logsumexp(a) -> Tensor:
+    """log(sum(exp(a))) along the last axis, computed with a max shift."""
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    shift = a.data.max(axis=-1, keepdims=True)
+    shifted = np.exp(a.data - shift)
+    total = shifted.sum(axis=-1, keepdims=True)
+    out_data = np.log(total[..., 0]) + shift[..., 0]
 
     def backward(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape))
+        _accumulate(a, np.reshape(g, total.shape) * shifted / total)
 
     return Tensor(out_data, (a,), backward)
 
 
-def tmean(a, axis=None, keepdims=False) -> Tensor:
+def segment_sum(a, sizes) -> Tensor:
+    """Sums of the consecutive runs of ``a``'s rows with the given positive
+    ``sizes``, which together cover ``a``."""
     a = as_tensor(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
-def logsumexp(a) -> Tensor:
-    """log(sum(exp(a))) over a 1-D tensor, computed with a max shift."""
-    a = as_tensor(a)
-    shift = a.data.max()
-    shifted = np.exp(a.data - shift)
-    total = shifted.sum()
-    out_data = np.log(total) + shift
+    sizes = np.asarray(sizes, dtype=np.intp)
+    out_data = np.add.reduceat(a.data, np.cumsum(sizes) - sizes, axis=0)
 
     def backward(g):
-        _accumulate(a, g * shifted / total)
+        _accumulate(a, np.repeat(g, sizes, axis=0))
 
     return Tensor(out_data, (a,), backward)
 
@@ -217,38 +211,12 @@ def concat(tensors, axis=0) -> Tensor:
     return Tensor(out_data, tuple(tensors), backward)
 
 
-def narrow(a, axis, start, length) -> Tensor:
-    """A contiguous slice of ``a`` along ``axis``."""
-    a = as_tensor(a)
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
-    out_data = a.data[sl]
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        ga[sl] = g
-        _accumulate(a, ga)
-
-    return Tensor(out_data, (a,), backward)
-
-
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     out_data = a.data.reshape(shape)
 
     def backward(g):
         _accumulate(a, g.reshape(a.data.shape))
-
-    return Tensor(out_data, (a,), backward)
-
-
-def broadcast_to(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.broadcast_to(a.data, shape)
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
 
     return Tensor(out_data, (a,), backward)
 

@@ -106,18 +106,45 @@ def unflatten_params(
     return params
 
 
-def score_sequences_graph(sequences: ad.Tensor, params: dict[str, ad.Tensor]) -> ad.Tensor:
-    """Scores (n_seq,) for a batch of sequences (n_seq, length, d)."""
-    n_seq, length, d = sequences.data.shape
-    start = ad.broadcast_to(ad.reshape(params["start_token"], (1, 1, d)), (n_seq, 1, d))
-    end = ad.broadcast_to(ad.reshape(params["end_token"], (1, 1, d)), (n_seq, 1, d))
-    ext = ad.concat([start, sequences, end], axis=1)
-    left = ad.narrow(ext, 1, 0, length + 1)
-    right = ad.narrow(ext, 1, 1, length + 1)
-    pairs = ad.reshape(ad.concat([left, right], axis=2), (n_seq * (length + 1), 2 * d))
+def score_candidates_graph(
+    values: ad.Tensor, lengths: list[int], perms: list[np.ndarray], params: dict[str, ad.Tensor]
+) -> ad.Tensor:
+    """Flat scores of candidate orderings of stacked sequences.
+
+    ``values`` (sum(lengths), d) stacks the sequences and ``perms[b]`` is an
+    integer array (..., lengths[b]) of orderings of sequence ``b``; scores
+    follow the orderings row by row, sequence by sequence.  Each of a
+    sequence's (L+1)^2 possible adjacent pairs is scored once, and an
+    ordering's score sums its L+1 pairs' entries.
+    """
+    d = values.data.shape[1]
+    # Rows of ``tokens``: 0 is the start token, 1 the end token, 2 + i row i.
+    tokens = ad.concat(
+        [ad.reshape(params["start_token"], (1, d)), ad.reshape(params["end_token"], (1, d)), values]
+    )
+    lefts, rights, entries, sizes = [], [], [], []
+    row = table = 0
+    for length, perm in zip(lengths, perms):
+        rows = np.arange(2 + row, 2 + row + length)
+        lefts.append(np.repeat(np.append(0, rows), length + 1))
+        rights.append(np.tile(np.append(rows, 1), length + 1))
+        # Entry (i, j) of a sequence's table pairs left item i (start, then
+        # rows) with right item j (rows, then end).
+        perm = np.reshape(perm, (-1, length))
+        entry = np.full((len(perm), length + 1), table + length, dtype=np.intp)
+        entry[:, :-1] = table + perm
+        entry[:, 1:] += (perm + 1) * (length + 1)
+        entries.append(entry.ravel())
+        sizes.append(np.full(len(perm), length + 1))
+        row += length
+        table += (length + 1) ** 2
+    pairs = ad.concat(
+        [ad.gather_rows(tokens, np.concatenate(lefts)), ad.gather_rows(tokens, np.concatenate(rights))],
+        axis=1,
+    )
     h = ad.tanh(ad.add(ad.matmul(pairs, params["w1"]), params["b1"]))
-    out = ad.add(ad.matmul(h, params["w2"]), params["b2"])
-    return ad.tsum(ad.reshape(out, (n_seq, length + 1)), axis=1)
+    pair_scores = ad.reshape(ad.add(ad.matmul(h, params["w2"]), params["b2"]), (-1,))
+    return ad.segment_sum(ad.gather_rows(pair_scores, np.concatenate(entries)), np.concatenate(sizes))
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Contrastive objective, mutual-information bound, and feature probes.
 
-Joint training and the scorer-only probe build the same loss: z-scored values
-are gathered into N candidate orderings, scored, and the true order's
-log-softmax is taken (:func:`_ordering_loss`).
+Joint training and the scorer-only probe build the same loss over a batch of
+albums: z-scored values are scored in N candidate orderings per contrastive
+set, and the true order's log-softmax is taken (:func:`ordering_losses`).
 """
 
 from __future__ import annotations
@@ -10,25 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .model import EssenceModel, score_sequences_graph
+from .model import EssenceModel, score_candidates_graph
 
 LN2 = float(np.log(2.0))
-
-
-def info_nce_loss(scores, true_index: int) -> float:
-    """Contrastive loss in nats: -log softmax(scores)[true_index].
-
-    Computed with a max shift for numerical stability.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1 or s.size < 2:
-        raise ValueError("need at least 2 scores")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("non-finite score")
-    if not 0 <= true_index < s.size:
-        raise ValueError("true_index out of range")
-    shift = s.max()
-    return float(np.log(np.exp(s - shift).sum()) - (s[true_index] - shift))
 
 
 def mi_lower_bound(mean_loss_nats: float, n_sequences: int) -> float:
@@ -81,12 +65,47 @@ def contrastive_permutations(
     return perms
 
 
-def _ordering_loss(normalized: ad.Tensor, perms: np.ndarray, sco_params) -> ad.Tensor:
-    """-log softmax(scores)[0] over the candidate orderings ``perms`` (N, length)
-    of the z-scored rows ``normalized``; row 0 of ``perms`` is the true order."""
-    scores = score_sequences_graph(ad.gather_rows(normalized, perms), sco_params)
-    true_score = ad.narrow(scores, 0, 0, 1)
-    return ad.sub(ad.logsumexp(scores), ad.reshape(true_score, ()))
+def ordering_losses(
+    values: ad.Tensor, lengths: list[int], perms: list[np.ndarray], sco_params
+) -> ad.Tensor:
+    """Contrastive losses -log softmax(scores)[0], one per contrastive set.
+
+    ``values`` (sum(lengths), d) stacks the albums' z-scored sequences and
+    ``perms[b]`` holds album ``b``'s sets as a (sets, N, length) array whose
+    row 0 in each set is the true order.  Losses follow the sets' order,
+    album by album.
+    """
+    scores = score_candidates_graph(values, lengths, perms, sco_params)
+    n_sequences = perms[0].shape[1]
+    n_sets = scores.data.size // n_sequences
+    true_scores = ad.gather_rows(scores, n_sequences * np.arange(n_sets))
+    return ad.sub(ad.logsumexp(ad.reshape(scores, (n_sets, n_sequences))), true_scores)
+
+
+def batch_loss_graph(
+    model: EssenceModel,
+    x_std: np.ndarray,
+    lengths: list[int],
+    perms: list[np.ndarray],
+    ext_params: dict[str, ad.Tensor],
+    sco_params: dict[str, ad.Tensor],
+    dropout_mask: np.ndarray | None = None,
+) -> ad.Tensor:
+    """Contrastive losses of a batch of albums, one per set (see
+    :func:`ordering_losses`).
+
+    ``x_std`` stacks the albums' standardized (length, in_dim) feature
+    matrices and ``dropout_mask`` their hidden-layer keep masks.  Each album's
+    essence is z-scored over its own rows (population std, with a tiny floor)
+    through constant segment-averaging matrices.
+    """
+    member = np.repeat(np.arange(len(lengths)), lengths) == np.arange(len(lengths))[:, None]
+    average = member / np.asarray(lengths, dtype=np.float64)[:, None]
+    spread = member.T.astype(np.float64)
+    essence = model.extractor_graph(x_std, ext_params, dropout_mask)
+    centered = ad.sub(essence, ad.matmul(spread, ad.matmul(average, essence)))
+    std = ad.sqrt(ad.add(ad.matmul(average, ad.square(centered)), 1e-12))
+    return ordering_losses(ad.div(centered, ad.matmul(spread, std)), lengths, perms, sco_params)
 
 
 def album_loss_graph(
@@ -103,19 +122,7 @@ def album_loss_graph(
     ``perms`` the (N, length) permutation-index matrix with the true order in
     row 0.
     """
-    essence = model.extractor_graph(x_std, ext_params, dropout_mask)
-    mean = ad.tmean(essence, axis=0, keepdims=True)
-    centered = ad.sub(essence, mean)
-    std = ad.sqrt(ad.add(ad.tmean(ad.square(centered), axis=0, keepdims=True), 1e-12))
-    return _ordering_loss(ad.div(centered, std), perms, sco_params)
-
-
-def scorer_loss_graph(
-    values: np.ndarray,
-    perms: np.ndarray,
-    sco_params: dict[str, ad.Tensor],
-) -> ad.Tensor:
-    """Contrastive-loss graph with a fixed (already z-scored) value sequence;
-    only the scorer parameters are in the graph."""
-    return _ordering_loss(ad.as_tensor(values), perms, sco_params)
-
+    losses = batch_loss_graph(
+        model, x_std, [len(x_std)], [perms[None]], ext_params, sco_params, dropout_mask
+    )
+    return ad.reshape(losses, ())

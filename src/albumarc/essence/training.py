@@ -7,7 +7,8 @@ once before the first epoch, so the early-stopping signal is not inflated by
 per-epoch resampling luck.
 
 Joint training and the scorer-only probe run one loop, :func:`_fit`, over one
-contrastive-loss graph; validation evaluates that graph without dropout.
+contrastive-loss graph per minibatch; validation evaluates that graph once per
+epoch over every validation album, without dropout.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from .model import (
     unflatten_params,
 )
 from .objective import (
-    album_loss_graph,
+    batch_loss_graph,
     contrastive_permutations,
     mi_lower_bound,
-    scorer_loss_graph,
+    ordering_losses,
     zscore_columns,
 )
 
@@ -126,11 +127,7 @@ def _rngs(seed: int) -> list[np.random.Generator]:
 
 
 def _grad_vector(tensors: dict[str, ad.Tensor], shapes) -> np.ndarray:
-    parts = []
-    for name, shape in shapes:
-        grad = tensors[name].grad
-        parts.append(np.zeros(shape).reshape(-1) if grad is None else grad.reshape(-1))
-    return np.concatenate(parts)
+    return np.concatenate([tensors[name].grad.reshape(-1) for name, _ in shapes])
 
 
 def _decay_mask(shapes) -> np.ndarray:
@@ -163,6 +160,11 @@ class _Net:
         self.params = unflatten_params(self.flat, self.shapes)
 
 
+def _stack(data: list[tuple[str, np.ndarray]]) -> tuple[np.ndarray, list[int]]:
+    """The albums' rows stacked into one array, and each album's length."""
+    return np.concatenate([x for _, x in data]), [len(x) for _, x in data]
+
+
 def _fit(
     loss_graph,
     nets: list[_Net],
@@ -176,19 +178,21 @@ def _fit(
     """Minimize the mean contrastive loss over minibatches of albums with
     Adam, stopping early on the validation loss.
 
-    ``loss_graph(x, perms, params, dropout_mask)`` builds one album's loss
-    graph from its (length, ...) data ``x``, an (N, length) permutation
-    matrix, one dict of parameter tensors per net and an optional dropout
-    mask; ``*_data`` hold (album id, x) pairs.  When ``dropout_width`` is
-    given, each training album draws a (length, dropout_width) keep mask right
-    after its permutations.  Returns the history and each net's parameters at
-    the best validation epoch.
+    ``loss_graph(x, lengths, perms, params, dropout_mask)`` builds one graph
+    of a batch of albums' losses, one per contrastive set, from their stacked
+    data ``x``, their lengths, each album's (sets, N, length) permutation
+    array, one dict of parameter tensors (or arrays) per net and an optional
+    stacked dropout mask; ``*_data`` hold (album id, x) pairs.  When
+    ``dropout_width`` is given, each training album draws a (length,
+    dropout_width) keep mask right after its permutations.  Returns the
+    history and each net's parameters at the best validation epoch.
     """
-    val_sets = [
-        (x, contrastive_permutations(len(x), config.n_sequences, val_rng))
+    n_sets = config.val_sets_per_album
+    val_perms = [
+        np.stack([contrastive_permutations(len(x), config.n_sequences, val_rng) for _ in range(n_sets)])
         for _, x in val_data
-        for _ in range(config.val_sets_per_album)
     ]
+    val_x, val_lengths = _stack(val_data)
     history: list[EpochStats] = []
     best_loss = np.inf
     best_params = [net.params for net in nets]
@@ -197,31 +201,28 @@ def _fit(
         order = batch_rng.permutation(len(train_data))
         epoch_losses = []
         for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            grads = [np.zeros_like(net.flat) for net in nets]
-            for i in batch:
-                album_id, x = train_data[i]
-                perms = contrastive_permutations(len(x), config.n_sequences, batch_rng)
-                mask = None
+            batch = [train_data[i] for i in order[start : start + config.batch_size]]
+            perms, masks = [], []
+            for _, x in batch:
+                perms.append(contrastive_permutations(len(x), config.n_sequences, batch_rng)[None])
                 if dropout_width is not None and config.dropout > 0.0:
                     keep = batch_rng.random((len(x), dropout_width)) >= config.dropout
-                    mask = keep / (1.0 - config.dropout)
-                tensors = [net.tensors() for net in nets]
-                loss = loss_graph(x, perms, tensors, mask)
-                if not np.isfinite(loss.data):
-                    raise TrainingDiverged(
-                        f"non-finite training loss at epoch {epoch}, album {album_id!r}"
-                    )
-                ad.backward(loss)
-                for grad, net, params in zip(grads, nets, tensors):
-                    grad += _grad_vector(params, net.shapes)
-                epoch_losses.append(float(loss.data))
-            for grad, net in zip(grads, nets):
-                grad /= len(batch)
-                net.step(grad, config.weight_decay_scorer)
+                    masks.append(keep / (1.0 - config.dropout))
+            tensors = [net.tensors() for net in nets]
+            x, lengths = _stack(batch)
+            losses = loss_graph(x, lengths, perms, tensors, np.concatenate(masks) if masks else None)
+            diverged = np.flatnonzero(~np.isfinite(losses.data))
+            if diverged.size:
+                raise TrainingDiverged(
+                    f"non-finite training loss at epoch {epoch}, album {batch[diverged[0]][0]!r}"
+                )
+            ad.backward(ad.segment_sum(losses, [len(batch)]))
+            for net, params in zip(nets, tensors):
+                net.step(_grad_vector(params, net.shapes) / len(batch), config.weight_decay_scorer)
+            epoch_losses.extend(losses.data.tolist())
 
-        tensors = [net.tensors() for net in nets]
-        val_loss = float(np.mean([loss_graph(x, perms, tensors, None).data for x, perms in val_sets]))
+        losses = loss_graph(val_x, val_lengths, val_perms, [net.params for net in nets], None)
+        val_loss = float(np.mean(losses.data))
         if not np.isfinite(val_loss):
             raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
         history.append(
@@ -266,8 +267,8 @@ def train(dataset, config: TrainConfig) -> tuple[EssenceModel, list[EpochStats]]
     def standardized(albums):
         return [(a.album_id, model.standardize(np.stack([t.flat for t in a.tracks]))) for a in albums]
 
-    def loss_graph(x_std, perms, params, dropout_mask):
-        return album_loss_graph(model, x_std, perms, *params, dropout_mask)
+    def loss_graph(x_std, lengths, perms, params, dropout_mask):
+        return batch_loss_graph(model, x_std, lengths, perms, *params, dropout_mask)
 
     history, (model.extractor_params, model.scorer_params) = _fit(
         loss_graph,
@@ -280,13 +281,6 @@ def train(dataset, config: TrainConfig) -> tuple[EssenceModel, list[EpochStats]]
         dropout_width=config.extractor_hidden,
     )
     return model, history
-
-
-def validation_mi(model: EssenceModel, history: list[EpochStats]) -> float:
-    """MI bound in bits at the early-stopping epoch."""
-    if not history:
-        raise ValueError("empty history")
-    return max(h.val_mi_bits for h in history)
 
 
 def probe_feature_mi(dataset, feature_values: dict, config: TrainConfig) -> float:
@@ -306,8 +300,8 @@ def probe_feature_mi(dataset, feature_values: dict, config: TrainConfig) -> floa
     shapes = ScorerArch(essence_dim=1, hidden=config.scorer_hidden).param_shapes()
     scorer = _Net(init_params(shapes, init_rng, out_scale=0.01), shapes, config.learning_rate, decay=True)
 
-    def loss_graph(values, perms, params, dropout_mask):
-        return scorer_loss_graph(values, perms, params[0])
+    def loss_graph(values, lengths, perms, params, dropout_mask):
+        return ordering_losses(ad.as_tensor(values), lengths, perms, params[0])
 
     history, _ = _fit(loss_graph, [scorer], train_vals, val_vals, config, batch_rng, val_rng)
     return mi_lower_bound(min(h.val_loss for h in history), config.n_sequences)

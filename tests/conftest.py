@@ -33,6 +33,29 @@ def _timed_train(name, dataset, config):
     return result
 
 
+def info_nce_loss(scores, true_index: int) -> float:
+    """Contrastive loss in nats: -log softmax(scores)[true_index].
+
+    Computed with a max shift for numerical stability.
+    """
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 1 or s.size < 2:
+        raise ValueError("need at least 2 scores")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("non-finite score")
+    if not 0 <= true_index < s.size:
+        raise ValueError("true_index out of range")
+    shift = s.max()
+    return float(np.log(np.exp(s - shift).sum()) - (s[true_index] - shift))
+
+
+def validation_mi(model, history) -> float:
+    """MI bound in bits at the early-stopping epoch."""
+    if not history:
+        raise ValueError("empty history")
+    return max(h.val_mi_bits for h in history)
+
+
 def essence_map(model, dataset):
     """track_id -> scalar essence for every track in the dataset."""
     out = {}

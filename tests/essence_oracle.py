@@ -9,10 +9,15 @@ onto the autodiff graph and the loops were merged into one:
 - :func:`train` and :func:`probe_feature_mi` are the joint-training loop and
   the scorer-only probe loop, each with its own epochs, minibatches, Adam
   steps and early stopping, validated through the numpy forward and
-  :func:`albumarc.essence.objective.info_nce_loss`;
+  :func:`conftest.info_nce_loss`;
 - :func:`mi_on_albums` is the MI bound on freshly drawn contrastive sets;
 - :func:`contrastive_permutations` draws negatives one
-  ``rng.permutation`` at a time, redrawing accidental identities.
+  ``rng.permutation`` at a time, redrawing accidental identities;
+- :func:`album_loss_graph` and :func:`scorer_loss_graph` are the per-album
+  loss graphs the package built before minibatches became one graph: the
+  scorer (:func:`score_sequences_graph`) runs on every candidate's L+1
+  adjacent pairs, through the autodiff ops :func:`tsum`, :func:`tmean`,
+  :func:`narrow` and :func:`broadcast_to`, which the package no longer uses.
 
 The differential tests in ``test_essence.py`` hold the package to these.
 """
@@ -31,15 +36,70 @@ from albumarc.essence.model import (
     ScorerArch,
     flatten_params,
     init_params,
-    score_sequences_graph,
     unflatten_params,
 )
-from albumarc.essence.objective import (
-    info_nce_loss,
-    mi_lower_bound,
-    zscore_columns,
-)
+from albumarc.essence.objective import mi_lower_bound, zscore_columns
 from albumarc.essence.training import Adam, EpochStats, TrainConfig, input_stats
+from conftest import info_nce_loss
+
+
+def tsum(a, axis=None, keepdims=False) -> ad.Tensor:
+    a = ad.as_tensor(a)
+    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def backward(g):
+        g = np.asarray(g)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        ad._accumulate(a, np.broadcast_to(g, a.data.shape))
+
+    return ad.Tensor(out_data, (a,), backward)
+
+
+def tmean(a, axis=None, keepdims=False) -> ad.Tensor:
+    a = ad.as_tensor(a)
+    count = a.data.size if axis is None else a.data.shape[axis]
+    return ad.mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+
+
+def narrow(a, axis, start, length) -> ad.Tensor:
+    """A contiguous slice of ``a`` along ``axis``."""
+    a = ad.as_tensor(a)
+    sl = [slice(None)] * a.data.ndim
+    sl[axis] = slice(start, start + length)
+    sl = tuple(sl)
+    out_data = a.data[sl]
+
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        ga[sl] = g
+        ad._accumulate(a, ga)
+
+    return ad.Tensor(out_data, (a,), backward)
+
+
+def broadcast_to(a, shape) -> ad.Tensor:
+    a = ad.as_tensor(a)
+    out_data = np.broadcast_to(a.data, shape)
+
+    def backward(g):
+        ad._accumulate(a, ad._unbroadcast(g, a.data.shape))
+
+    return ad.Tensor(out_data, (a,), backward)
+
+
+def score_sequences_graph(sequences: ad.Tensor, params: dict[str, ad.Tensor]) -> ad.Tensor:
+    """Scores (n_seq,) for a batch of sequences (n_seq, length, d)."""
+    n_seq, length, d = sequences.data.shape
+    start = broadcast_to(ad.reshape(params["start_token"], (1, 1, d)), (n_seq, 1, d))
+    end = broadcast_to(ad.reshape(params["end_token"], (1, 1, d)), (n_seq, 1, d))
+    ext = ad.concat([start, sequences, end], axis=1)
+    left = narrow(ext, 1, 0, length + 1)
+    right = narrow(ext, 1, 1, length + 1)
+    pairs = ad.reshape(ad.concat([left, right], axis=2), (n_seq * (length + 1), 2 * d))
+    h = ad.tanh(ad.add(ad.matmul(pairs, params["w1"]), params["b1"]))
+    out = ad.add(ad.matmul(h, params["w2"]), params["b2"])
+    return tsum(ad.reshape(out, (n_seq, length + 1)), axis=1)
 
 
 def sample_negative_permutations(
@@ -105,13 +165,13 @@ def album_loss_graph(
 ) -> ad.Tensor:
     """Scalar contrastive-loss graph for one album."""
     essence = model.extractor_graph(x_std, ext_params, dropout_mask)
-    mean = ad.tmean(essence, axis=0, keepdims=True)
+    mean = tmean(essence, axis=0, keepdims=True)
     centered = ad.sub(essence, mean)
-    std = ad.sqrt(ad.add(ad.tmean(ad.square(centered), axis=0, keepdims=True), 1e-12))
+    std = ad.sqrt(ad.add(tmean(ad.square(centered), axis=0, keepdims=True), 1e-12))
     normalized = ad.div(centered, std)
     sequences = ad.gather_rows(normalized, perms)
     scores = score_sequences_graph(sequences, sco_params)
-    true_score = ad.narrow(scores, 0, 0, 1)
+    true_score = narrow(scores, 0, 0, 1)
     return ad.sub(ad.logsumexp(scores), ad.reshape(true_score, ()))
 
 
@@ -123,7 +183,7 @@ def scorer_loss_graph(
     """Contrastive-loss graph with a fixed (already z-scored) value sequence."""
     sequences = ad.gather_rows(ad.Tensor(values), perms)
     scores = score_sequences_graph(sequences, sco_params)
-    true_score = ad.narrow(scores, 0, 0, 1)
+    true_score = narrow(scores, 0, 0, 1)
     return ad.sub(ad.logsumexp(scores), ad.reshape(true_score, ()))
 
 

@@ -22,17 +22,23 @@ from albumarc.essence.model import EssenceModel, flatten_params, unflatten_param
 from albumarc.essence.objective import (
     album_loss_graph,
     contrastive_permutations,
-    info_nce_loss,
     mi_lower_bound,
 )
-from albumarc.essence.training import validation_mi
 from albumarc.evaluation import evaluate_templates, levenshtein, string_edit_score
 from albumarc.fitcurve import fit_ordering, sample_template
 from albumarc.ingest import SynthConfig, synth_generate
 from albumarc.spline import DEFAULT_KNOTS, build_spline
 from albumarc.templates import GAConfig, evolve_templates
 
-from conftest import FIXTURE_SECONDS, PLANTED_SEED, TRAIN_SEED, SWEEP_KW, essence_map
+from conftest import (
+    FIXTURE_SECONDS,
+    PLANTED_SEED,
+    TRAIN_SEED,
+    SWEEP_KW,
+    essence_map,
+    info_nce_loss,
+    validation_mi,
+)
 
 KNOTS = np.array(DEFAULT_KNOTS)
 
