@@ -17,7 +17,7 @@ import numpy as np
 from scipy import stats
 
 from .core import Ordering, album_values, normalize_minmax
-from .fitcurve import _fit, sample_template
+from .fitcurve import _fit_rows, sample_template
 from .templates import TemplateSet
 
 log = logging.getLogger(__name__)
@@ -35,12 +35,22 @@ def levenshtein(a, b) -> int:
     bit vectors, so each item of ``b`` costs O(1) big-int operations.
     """
     a = list(a)
-    m = len(a)
-    if not m:
-        return len(list(b))
+    return _levenshtein(_match_masks(a), len(a), b)
+
+
+def _match_masks(a) -> dict:
+    """Per item of ``a``, the bit vector of the rows where it occurs."""
     match: dict = {}
     for i, item in enumerate(a):
         match[item] = match.get(item, 0) | 1 << i
+    return match
+
+
+def _levenshtein(match: dict, m: int, b) -> int:
+    """:func:`levenshtein` from a sequence of length ``m`` with
+    :func:`_match_masks` ``match`` to ``b``."""
+    if not m:
+        return len(list(b))
     mask = (1 << m) - 1
     top = 1 << (m - 1)
     pv, mv, dist = mask, 0, m
@@ -65,6 +75,8 @@ def levenshtein(a, b) -> int:
 def _as_positions(ordering) -> tuple[int, ...]:
     if isinstance(ordering, Ordering):
         return ordering.positions
+    if type(ordering) is tuple and set(map(type, ordering)) <= {int}:
+        return ordering
     return tuple(int(i) for i in ordering)
 
 
@@ -77,12 +89,13 @@ def string_edit_score(candidates, truth) -> float:
     cands = [_as_positions(c) for c in candidates]
     if not cands:
         raise ValueError("need at least one candidate ordering")
+    m = len(truth_pos)
     for c in cands:
-        if len(c) != len(truth_pos):
-            raise ValueError(
-                f"candidate length {len(c)} does not match truth length {len(truth_pos)}"
-            )
-    return max(1.0 / (1.0 + levenshtein(c, truth_pos)) for c in cands)
+        if len(c) != m:
+            raise ValueError(f"candidate length {len(c)} does not match truth length {m}")
+    # Edit distance is symmetric, so the truth's masks serve every candidate.
+    match = _match_masks(truth_pos)
+    return max(1.0 / (1.0 + _levenshtein(match, m, c)) for c in cands)
 
 
 def paired_t_test(a, b) -> float:
@@ -181,31 +194,6 @@ class EvalReport:
         }
 
 
-def _evaluate_album(album_id, values, targets, rng) -> AlbumEval:
-    """Score one album; ``targets`` holds each template sampled at its length."""
-    n = values.shape[0]
-    y = normalize_minmax(values)
-    truth = tuple(range(n))
-    fits = [_fit(y, z) for z in targets]
-    best_template = min(
-        range(len(fits)), key=lambda p: (fits[p].bottleneck, fits[p].total_deviation, p)
-    )
-    learned = string_edit_score([f.ordering for f in fits], truth)
-    random_orderings = [tuple(rng.permutation(n)) for _ in range(len(targets))]
-    random_score = string_edit_score(random_orderings, truth)
-    shuffled = y[rng.permutation(n)]
-    shuffled_fits = [_fit(shuffled, z) for z in targets]
-    shuffled_score = string_edit_score([f.ordering for f in shuffled_fits], truth)
-    return AlbumEval(
-        album_id=album_id,
-        length=n,
-        best_template=best_template,
-        learned_score=learned,
-        random_score=random_score,
-        shuffled_score=shuffled_score,
-    )
-
-
 def evaluate_templates(
     dataset,
     essence_by_track: dict,
@@ -218,21 +206,53 @@ def evaluate_templates(
     Deterministic for a given seed: each album gets its own RNG stream split
     from the master seed.  A paired test that is degenerate (fewer than two
     albums, or every per-album difference exactly zero) falls back to p = 1
-    and logs a warning naming the comparison.
+    and logs a warning naming the comparison.  Every album needs at least 2
+    tracks.
     """
     series = album_values(dataset.albums, essence_by_track)
     if not series:
         raise ValueError("no albums to evaluate")
+    for album_id, values in series:
+        if values.shape[0] < 2:
+            raise ValueError(
+                f"album {album_id!r} has {values.shape[0]} track(s); evaluation needs at least 2"
+            )
     curves = template_set.curves()
-    lengths = {values.shape[0] for _, values in series}
-    targets = {n: [sample_template(curve, n) for curve in curves] for n in lengths}
+    k = len(curves)
+    # Per album, from its own stream: k random orderings, then the shuffle.
+    draws = []
+    by_length: dict[int, list[int]] = {}
     seeds = np.random.SeedSequence(seed).spawn(len(series))
-    evals = [
-        _evaluate_album(
-            album_id, values, targets[values.shape[0]], np.random.default_rng(album_seed)
+    for i, ((_, values), album_seed) in enumerate(zip(series, seeds)):
+        rng = np.random.default_rng(album_seed)
+        n = values.shape[0]
+        draws.append(([tuple(rng.permutation(n).tolist()) for _ in range(k)], rng.permutation(n)))
+        by_length.setdefault(n, []).append(i)
+
+    evals: list = [None] * len(series)
+    for n, members in by_length.items():
+        # Rows: each album's learned fits, then each album's shuffled fits,
+        # each as k consecutive rows, one per template.
+        m = len(members)
+        y = normalize_minmax(np.stack([series[i][1] for i in members]))
+        y_shuffled = np.take_along_axis(y, np.stack([draws[i][1] for i in members]), axis=1)
+        targets = np.stack([sample_template(curve, n) for curve in curves])
+        orderings, bottlenecks, deviations = _fit_rows(
+            np.repeat(np.concatenate((y, y_shuffled)), k, axis=0), np.tile(targets, (2 * m, 1))
         )
-        for (album_id, values), album_seed in zip(series, seeds)
-    ]
+        bottlenecks, totals = bottlenecks.tolist(), deviations.sum(axis=1).tolist()
+        truth = tuple(range(n))
+        for a, i in enumerate(members):
+            learned = slice(a * k, (a + 1) * k)
+            refit = slice((m + a) * k, (m + a + 1) * k)
+            evals[i] = AlbumEval(
+                album_id=series[i][0],
+                length=n,
+                best_template=min(zip(bottlenecks[learned], totals[learned], range(k)))[2],
+                learned_score=string_edit_score(orderings[learned], truth),
+                random_score=string_edit_score(draws[i][0], truth),
+                shuffled_score=string_edit_score(orderings[refit], truth),
+            )
 
     learned = np.array([e.learned_score for e in evals])
     random_scores = np.array([e.random_score for e in evals])

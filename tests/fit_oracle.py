@@ -13,7 +13,9 @@ production solver against :func:`fit_ordering` here.
 
 :func:`lex_smallest_assignment` is the 1-D solver's interval sweep as numpy
 array code, before it became list code; the sweep is checked against it on
-the same intervals.
+the same intervals.  :func:`rank_intervals` is the 1-D solver's interval
+computation for one instance, before it worked on rows of a batch, and
+:func:`fit_targets` the 1-D fit composed from the two.
 """
 
 from __future__ import annotations
@@ -264,10 +266,44 @@ def _lex_smallest_perfect_matching(
     return row_of_col
 
 
+def rank_intervals(ys: np.ndarray, zs: np.ndarray, bottleneck: float):
+    """For the k-th smallest target, the ranks ``lo[k]..hi[k]`` of the sorted
+    values ``ys`` it may take in an assignment that is optimal in both the
+    maximum and the total deviation.  Both bounds are nondecreasing in k."""
+    points = np.union1d(ys, zs)
+    flow = np.searchsorted(ys, points, "right") - np.searchsorted(zs, points, "right")
+    idx = np.arange(points.size)
+    # Breakpoint index of the last stop of upward flow (D <= 0) strictly below
+    # each breakpoint, and of the first stop of downward flow (D >= 0) at or
+    # above it.  D is 0 at the last breakpoint, so the latter always exists.
+    stop_up = np.maximum.accumulate(np.where(flow <= 0, idx, -1))
+    stop_up_below = np.concatenate(([-1], stop_up[:-1]))
+    stop_down = np.minimum.accumulate(np.where(flow >= 0, idx, points.size)[::-1])[::-1]
+    at = np.searchsorted(points, zs)
+    lo = np.searchsorted(ys, points[stop_up_below[at] + 1], "left")
+    hi = np.searchsorted(ys, points[stop_down[at]], "right") - 1
+
+    # Cap at the bottleneck with the same float test |y - z| <= bottleneck
+    # that defines it; both ends move monotonically with the target.
+    ys_list, zs_list = ys.tolist(), zs.tolist()
+    low_cap, r = [], 0
+    for t in zs_list:
+        while t - ys_list[r] > bottleneck:
+            r += 1
+        low_cap.append(r)
+    high_cap, r = [], len(ys_list) - 1
+    for t in reversed(zs_list):
+        while ys_list[r] - t > bottleneck:
+            r -= 1
+        high_cap.append(r)
+    return np.maximum(lo, low_cap), np.minimum(hi, high_cap[::-1])
+
+
 def lex_smallest_assignment(order_y, order_z, lo, hi) -> np.ndarray:
     """Lexicographically smallest assignment ``x`` (value index per position)
     with each position ``j`` taking a value rank in its target's interval,
-    by the same rule as ``albumarc.fitcurve._lex_smallest_assignment``."""
+    by the same rule as ``albumarc.fitcurve._lex_smallest_assignment``.
+    ``lo``/``hi`` are :func:`rank_intervals` per target rank."""
     n = order_y.size
     z_rank = np.empty(n, dtype=np.intp)
     z_rank[order_z] = np.arange(n)
@@ -295,6 +331,25 @@ def lex_smallest_assignment(order_y, order_z, lo, hi) -> np.ndarray:
         remaining_values[:, b : m - 1] = remaining_values[:, b + 1 : m]
         remaining_targets[:, a : m - 1] = remaining_targets[:, a + 1 : m]
     return x
+
+
+def fit_targets(y, z) -> FitResult:
+    """The 1-D fit of values ``y`` onto targets ``z`` for one instance:
+    sorted matching, :func:`rank_intervals` and :func:`lex_smallest_assignment`."""
+    order_y = np.argsort(y, kind="stable")
+    order_z = np.argsort(z, kind="stable")
+    ys, zs = y[order_y], z[order_z]
+    bottleneck = float(np.abs(ys - zs).max())
+    lo, hi = rank_intervals(ys, zs, bottleneck)
+    x = lex_smallest_assignment(order_y, order_z, lo, hi)
+
+    per_position = np.abs(y[x] - z)
+    return FitResult(
+        ordering=Ordering(tuple(x)),
+        bottleneck=bottleneck,
+        total_deviation=float(per_position.sum()),
+        per_position_deviation=per_position,
+    )
 
 
 def fit_ordering(values, curve: TemplateCurve) -> FitResult:

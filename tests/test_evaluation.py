@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from albumarc import evaluation
-from albumarc.core import Ordering
+from albumarc.core import Album, Ordering, Track
 from albumarc.evaluation import (
     COMPARISONS,
     evaluate_templates,
@@ -20,28 +20,16 @@ from albumarc.evaluation import (
     string_edit_score,
 )
 from albumarc.fitcurve import fit_ordering
-from albumarc.ingest import SynthConfig, synth_generate
+from albumarc.ingest import Dataset, SynthConfig, synth_generate
 from albumarc.spline import DEFAULT_KNOTS
 from albumarc.templates import TemplateSet
+
+import eval_oracle
+from eval_oracle import dp_levenshtein
 
 KNOTS = np.array(DEFAULT_KNOTS)
 
 short_seqs = st.lists(st.integers(min_value=0, max_value=3), max_size=8)
-
-
-def dp_levenshtein(a, b) -> int:
-    """The quadratic dynamic program ``levenshtein`` replaced, as its oracle."""
-    a = list(a)
-    b = list(b)
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, item_a in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, item_b in enumerate(b, start=1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (item_a != item_b))
-        prev = cur
-    return prev[-1]
 
 
 class TestLevenshtein:
@@ -214,6 +202,9 @@ class TestHolmBonferroni:
                 assert p <= alpha
 
 
+WAVY = np.array([0.1, 0.9, 0.0, 1.0, 0.2, 0.8, 0.3])  # its spline overshoots [0, 1]
+
+
 def _rising_falling_templates():
     return TemplateSet(xs=KNOTS, templates=np.stack([1.0 - KNOTS, KNOTS]))
 
@@ -260,31 +251,32 @@ class TestEvaluateTemplates:
             assert lengths[album.album_id] == len(album)
 
     def test_fits_equal_fit_ordering(self, eval_setup, monkeypatch):
-        # evaluate_templates samples each template once per album length;
-        # every learned and shuffled fit must equal fit_ordering's.
+        # evaluate_templates fits each album length's rows in one batch;
+        # every learned and shuffled row must equal fit_ordering's fit.
         ds, essence, _ = eval_setup
-        wavy = np.array([0.1, 0.9, 0.0, 1.0, 0.2, 0.8, 0.3])  # overshoots [0, 1]
-        templates = TemplateSet(xs=KNOTS, templates=np.stack([1.0 - KNOTS, KNOTS, wavy]))
-        calls = []
+        templates = TemplateSet(xs=KNOTS, templates=np.stack([1.0 - KNOTS, KNOTS, WAVY]))
+        batches = []
 
-        def recording_fit(y, z):
-            result = fit(y, z)
-            calls.append((y.copy(), result))
+        def recording_fit_rows(y, z):
+            result = fit_rows(y, z)
+            batches.append((y.copy(), result))
             return result
 
-        fit = evaluation._fit
-        monkeypatch.setattr(evaluation, "_fit", recording_fit)
+        fit_rows = evaluation._fit_rows
+        monkeypatch.setattr(evaluation, "_fit_rows", recording_fit_rows)
         report = evaluate_templates(ds, essence, templates, seed=4)
         monkeypatch.undo()
 
         curves = templates.curves()
         k = len(curves)
-        assert len(calls) == 2 * k * len(report.albums)
-        for i, (y, got) in enumerate(calls):
-            want = fit_ordering(y, curves[i % k])
-            assert got.ordering == want.ordering
-            assert got.bottleneck == want.bottleneck
-            assert got.total_deviation == want.total_deviation
+        assert len(batches) == len({e.length for e in report.albums})
+        assert sum(y.shape[0] for y, _ in batches) == 2 * k * len(report.albums)
+        for y, (orderings, bottlenecks, deviations) in batches:
+            for i, row in enumerate(y):
+                want = fit_ordering(row, curves[i % k])
+                assert orderings[i] == want.ordering.positions
+                assert bottlenecks[i] == want.bottleneck
+                assert deviations[i].sum() == want.total_deviation
         again = evaluate_templates(ds, essence, templates, seed=4)
         assert report.to_dict() == again.to_dict()
 
@@ -339,10 +331,57 @@ class TestEvaluateTemplates:
         assert len(warned) == 1
         assert "learned_vs_shuffled" in warned[0] and "p = 1" in warned[0]
 
+    def test_one_track_album_is_named(self, eval_setup):
+        ds, essence, templates = eval_setup
+        short = Album("short-album", (Track("t1"),))
+        with_short = Dataset(albums=ds.albums + (short,))
+        with pytest.raises(ValueError, match="album 'short-album' has 1 track"):
+            evaluate_templates(with_short, {**essence, "t1": 0.5}, templates, seed=0)
+
     def test_custom_alpha_recorded(self, eval_setup):
         ds, essence, templates = eval_setup
         report = evaluate_templates(ds, essence, templates, seed=3, alpha=0.01)
         assert report.alpha == 0.01
+
+
+@pytest.fixture(scope="module")
+def mixed_setup():
+    """Albums of lengths 2-20, some with constant essence."""
+    ds = synth_generate(
+        SynthConfig(n_albums=40, length_range=(3, 20), latent_shape="valley", noise_sigma=0.05, seed=8)
+    )
+    essence = dict(ds.scalar_features["latent_noisy"])
+    extra = []
+    for a, (n, constant) in enumerate([(2, False), (2, True), (2, False), (7, True), (13, True)]):
+        tracks = tuple(Track(f"extra-{a}-{j}") for j in range(n))
+        extra.append(Album(f"extra-{a}", tracks))
+        values = np.full(n, 0.4) if constant else np.random.default_rng(a).uniform(0, 1, n)
+        essence.update({t.track_id: float(v) for t, v in zip(tracks, values)})
+    # Constant essence on two synthesized albums as well.
+    for album in ds.albums[:2]:
+        essence.update({t.track_id: 0.25 for t in album.tracks})
+    return Dataset(albums=ds.albums[:20] + tuple(extra) + ds.albums[20:]), essence
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize(
+        "templates, seed",
+        [
+            (np.random.default_rng(31).uniform(0, 1, (4, len(KNOTS))), 0),
+            (np.random.default_rng(32).uniform(0, 1, (4, len(KNOTS))), 1),
+            (np.random.default_rng(33).uniform(0, 1, (3, len(KNOTS))), 2),
+            (np.stack([1.0 - KNOTS, KNOTS, WAVY]), 3),
+            (WAVY[None], 4),
+            (KNOTS[None], 5),
+        ],
+        ids=["random-k4-a", "random-k4-b", "random-k3", "wavy-k3", "wavy-k1", "rising-k1"],
+    )
+    def test_report_matches_per_album_oracle(self, mixed_setup, templates, seed):
+        ds, essence = mixed_setup
+        template_set = TemplateSet(xs=KNOTS, templates=templates)
+        got = evaluate_templates(ds, essence, template_set, seed=seed).to_dict()
+        want = eval_oracle.evaluate_templates(ds, essence, template_set, seed=seed).to_dict()
+        assert got == want
 
 
 class TestPlotRows:

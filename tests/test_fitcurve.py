@@ -4,7 +4,8 @@
 Hopcroft-Karp, Hungarian assignment, lex-min DFS) that the 1-D solver
 replaced; its primitives are tested here and it is the reference for the
 differential tests.  It also holds the numpy form of the 1-D solver's
-interval sweep, the reference for the list sweep.
+interval sweep, the reference for the list sweep, and the 1-D solver's
+interval computation for one instance, the reference for the row-wise one.
 """
 
 import itertools
@@ -18,8 +19,9 @@ from scipy.optimize import linear_sum_assignment
 from albumarc.core import EssenceSeries, Ordering
 from albumarc.fitcurve import (
     FitResult,
+    _fit_rows,
+    _interval_rows,
     _lex_smallest_assignment,
-    _rank_intervals,
     fit_ordering,
     sample_template,
 )
@@ -32,6 +34,7 @@ from fit_oracle import (
     lex_smallest_assignment as oracle_lex_smallest_assignment,
     max_bipartite_matching,
     min_cost_perfect_matching,
+    rank_intervals as oracle_rank_intervals,
 )
 
 RISING = build_spline([0.0, 1.0], [0.0, 1.0])
@@ -307,13 +310,41 @@ class TestFitOrderingOptimality:
         assert first.bottleneck == second.bottleneck
 
 
+def sorted_rows(y, z):
+    """Each row of ``y`` and ``z`` sorted, and each row's sorted-matching
+    bottleneck."""
+    ys, zs = np.sort(y, axis=1), np.sort(z, axis=1)
+    return ys, zs, np.abs(ys - zs).max(axis=1)
+
+
 def assert_sweeps_agree(y, z):
     order_y = np.argsort(y, kind="stable")
     order_z = np.argsort(z, kind="stable")
-    ys, zs = y[order_y], z[order_z]
-    lo, hi = _rank_intervals(ys, zs, float(np.abs(ys - zs).max()))
-    got = _lex_smallest_assignment(order_y, order_z, lo, hi)
-    assert got == oracle_lex_smallest_assignment(order_y, order_z, lo, hi).tolist()
+    lo, hi = _interval_rows(*sorted_rows(y[None], z[None]))
+    got = _lex_smallest_assignment(order_y.tolist(), order_z.tolist(), lo[0], hi[0])
+    want = oracle_lex_smallest_assignment(order_y, order_z, np.array(lo[0]), np.array(hi[0]))
+    assert list(got) == want.tolist()
+
+
+def mixed_rows(rng, n, b):
+    """b rows of n values, every kind of :func:`make_values` in turn."""
+    return np.stack([make_values(VALUE_KINDS[i % len(VALUE_KINDS)], n, rng) for i in range(b)])
+
+
+def row_batches(shape):
+    """A (2, b, n) array: b rows of values and b rows of targets, each cell
+    on a grid of ``steps`` steps (ties within and across the two sides are
+    common) or, for ``steps`` 0, any float in [0, 1]."""
+    b, n, steps = shape
+    cell = st.floats(0.0, 1.0) if steps == 0 else st.integers(0, steps).map(lambda i: i / steps)
+    return st.lists(cell, min_size=2 * b * n, max_size=2 * b * n).map(
+        lambda cells: np.array(cells, dtype=np.float64).reshape(2, b, n)
+    )
+
+
+batches = st.tuples(st.integers(1, 6), st.integers(2, 10), st.sampled_from([0, 2, 4, 8])).flatmap(
+    row_batches
+)
 
 
 class TestAgainstOracle:
@@ -355,11 +386,40 @@ class TestAgainstOracle:
         for kind in VALUE_KINDS:
             for _ in range(40):
                 n = int(rng.integers(2, 61))
-                ys = np.sort(make_values(kind, n, rng))
-                zs = np.sort(sample_template(random_curve(rng), n))
-                lo, hi = _rank_intervals(ys, zs, float(np.abs(ys - zs).max()))
+                y = make_values(kind, n, rng)[None]
+                z = sample_template(random_curve(rng), n)[None]
+                lo, hi = (np.array(bounds[0]) for bounds in _interval_rows(*sorted_rows(y, z)))
                 assert np.all(np.diff(lo) >= 0) and np.all(np.diff(hi) >= 0)
                 assert np.all(lo <= np.arange(n)) and np.all(np.arange(n) <= hi)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 20, 61])
+    def test_interval_rows_match_one_instance_oracle(self, n):
+        # Batches that mix random, tied and constant rows of one length.
+        rng = np.random.default_rng([18, n])
+        for _ in range(20):
+            b = int(rng.integers(1, 12))
+            y = mixed_rows(rng, n, b)
+            z = np.stack([sample_template(random_curve(rng), n) for _ in range(b)])
+            if rng.random() < 0.3:
+                z = mixed_rows(rng, n, b)
+            ys, zs, bottlenecks = sorted_rows(y, z)
+            lo, hi = _interval_rows(ys, zs, bottlenecks)
+            for i in range(b):
+                want_lo, want_hi = oracle_rank_intervals(ys[i], zs[i], float(bottlenecks[i]))
+                assert lo[i] == want_lo.tolist()
+                assert hi[i] == want_hi.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(batches)
+    def test_batch_equals_one_row_calls(self, yz):
+        y, z = yz
+        orderings, bottlenecks, deviations = _fit_rows(y, z)
+        for i in range(y.shape[0]):
+            (one,), (bottleneck,), (deviation,) = _fit_rows(y[i : i + 1], z[i : i + 1])
+            assert orderings[i] == one
+            assert bottlenecks[i] == bottleneck
+            assert np.array_equal(deviations[i], deviation)
+            assert deviations[i].sum() == deviation.sum()
 
 
 class TestLargeFits:
