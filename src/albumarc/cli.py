@@ -193,12 +193,18 @@ def _essence_from_model(app: App) -> bool:
     return app.path("essence", required=False) is None
 
 
-def _load_templates(app: App) -> TemplateSet:
-    doc = _read_input_json(app.path("templates"))
+def _load_input(path: Path, from_dict, what: str):
+    """``from_dict`` of the JSON document at ``path``; a document it cannot
+    read is a bad ``what`` file."""
+    doc = _read_input_json(path)
     try:
-        return TemplateSet.from_dict(doc)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"{app.path('templates')}: bad templates file: {exc}") from None
+        return from_dict(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad {what} file: {exc}") from None
+
+
+def _load_templates(app: App) -> TemplateSet:
+    return _load_input(app.path("templates"), TemplateSet.from_dict, "templates")
 
 
 def _extract_essence(model: EssenceModel, dataset: Dataset) -> tuple[list[str], np.ndarray]:
@@ -226,7 +232,7 @@ def _scalar_essence(app: App, dataset: Dataset) -> dict:
         source = app.path("model", required=False)
         if source is None:
             raise ConfigError("config needs paths.essence or paths.model")
-        model = EssenceModel.from_dict(_read_input_json(source))
+        model = _load_input(source, EssenceModel.from_dict, "model")
         track_ids, values = _extract_essence(model, dataset)
     return dict(zip(track_ids, _scalar_column(source, values).tolist()))
 
@@ -242,34 +248,54 @@ def _split(app: App, dataset: Dataset, name: str, default: str) -> Dataset:
     return dataset
 
 
-def _album_essence_input(app: App) -> tuple[list[str] | None, np.ndarray]:
-    path = app.path("essence")
-    track_ids, values = load_essence_csv(path)
-    if values.shape[0] < 2:
-        raise ConfigError(f"{path}: need at least 2 tracks to fit an ordering")
-    return track_ids, _scalar_column(path, values)
+def _fit_docs(app: App, template_set: TemplateSet, indices: list[int], values_arg: str | None = None):
+    """One fit document per template index: the album is the ``--values``
+    list if given, else the paths.essence file, whose track ids then give
+    each document's ``track_order``."""
+    for index in indices:
+        if not 0 <= index < template_set.n_templates:
+            raise ConfigError(f"template index {index} out of range (k={template_set.n_templates})")
+    track_ids = None
+    if values_arg is not None:
+        try:
+            values = np.array([float(x) for x in values_arg.split(",")], dtype=np.float64)
+            if values.size < 2 or not np.all(np.isfinite(values)):
+                raise ValueError("need at least 2 finite values")
+        except ValueError:
+            raise ConfigError(f"bad --values: {values_arg!r}") from None
+    else:
+        path = app.path("essence")
+        track_ids, values = load_essence_csv(path)
+        if values.shape[0] < 2:
+            raise ConfigError(f"{path}: need at least 2 tracks to fit an ordering")
+        values = _scalar_column(path, values)
+    y = normalize_minmax(values)
+    curves = template_set.curves()
+    docs = []
+    for index in indices:
+        result = fit_ordering(y, curves[index])
+        doc = {
+            "template_index": index,
+            "ordering": list(result.ordering.positions),
+            "bottleneck": result.bottleneck,
+            "total_deviation": result.total_deviation,
+            "per_position_deviation": result.per_position_deviation.tolist(),
+        }
+        if track_ids is not None:
+            doc["track_order"] = [track_ids[i] for i in result.ordering.positions]
+        docs.append(doc)
+    return docs
 
 
-def _check_template_index(template_set: TemplateSet, index: int) -> None:
-    if not 0 <= index < template_set.n_templates:
-        raise ConfigError(f"template index {index} out of range (k={template_set.n_templates})")
+def _write_rows(path: Path, header: list[str], rows, prov: dict, sep: str = ",") -> None:
+    """Write a text table of ``header`` and ``rows``: a float cell is written
+    as its repr, which reads back to the same float, any other cell as str."""
 
+    def render(fh):
+        for row in [header, *rows]:
+            fh.write(sep.join(repr(float(c)) if isinstance(c, float) else str(c) for c in row) + "\n")
 
-def _fit_doc(index: int, result, track_ids: list[str] | None) -> dict:
-    doc = {
-        "template_index": index,
-        "ordering": [int(i) for i in result.ordering.positions],
-        "bottleneck": result.bottleneck,
-        "total_deviation": result.total_deviation,
-        "per_position_deviation": [float(d) for d in result.per_position_deviation],
-    }
-    if track_ids is not None:
-        doc["track_order"] = [track_ids[i] for i in result.ordering.positions]
-    return doc
-
-
-def _float_cell(x) -> str:
-    return repr(float(x))
+    write_table(path, render, prov)
 
 
 # --------------------------------------------------------------------- group
@@ -318,54 +344,18 @@ def synth(app: App):
     )
 
 
-def _write_train_outputs(app: App, dataset, model, history, config, prov, suffix: str = ""):
-    best = min(history, key=lambda h: h.val_loss)
-    doc = model.to_dict()
-    doc["seed"] = config.seed
-    doc["train_config"] = dataclasses.asdict(config)
-    doc["best_val_loss_nats"] = best.val_loss
-    doc["best_val_mi_bits"] = best.val_mi_bits
-    write_json(app.out / f"model{suffix}.json", doc, prov)
-
-    def render_history(fh):
-        fh.write("epoch,train_loss,val_loss,val_mi_bits\n")
-        for h in history:
-            fh.write(
-                f"{h.epoch},{_float_cell(h.train_loss)},{_float_cell(h.val_loss)},"
-                f"{_float_cell(h.val_mi_bits)}\n"
-            )
-
-    write_table(app.out / f"history{suffix}.csv", render_history, prov)
-
-    track_ids, values = _extract_essence(model, dataset)
-    write_table(
-        app.out / f"essence{suffix}.csv",
-        lambda fh: write_essence_csv(track_ids, values, fh),
-        prov,
-    )
-    return best
-
-
 @cli.command(name="train")
 @click.pass_obj
 def train_cmd(app: App):
-    """Train the essence extractor and sequence scorer."""
+    """Train the essence extractor and sequence scorer.  ``train.dims`` sweeps
+    the essence dimension: one model per d, suffixed ``_d{d}``, and
+    mi_by_dim.csv."""
     dims = app.section("train").get("dims")
-    if dims is None:
-        config = _section_config(app, "train", TrainConfig)
-        prov = app.provenance(config.seed)
-        dataset = _load_dataset(app, features=True)
-        model, history = train(dataset, config)
-        best = _write_train_outputs(app, dataset, model, history, config, prov)
-        click.echo(
-            f"d={config.essence_dim}: validation MI bound {best.val_mi_bits:.4f} bits "
-            f"(epoch {best.epoch}, {len(history)} epochs run)"
-        )
-        return
     with _config_section("train"):
-        if not isinstance(dims, list) or not dims:
+        if dims is not None and not (isinstance(dims, list) and dims):
             raise TypeError(f"dims must be a non-empty list of essence dimensions, got {dims!r}")
-        configs = [_section_config(app, "train", TrainConfig, essence_dim=d) for d in dims]
+        overrides = [{}] if dims is None else [{"essence_dim": d} for d in dims]
+        configs = [_section_config(app, "train", TrainConfig, **o) for o in overrides]
     if len({c.essence_dim for c in configs}) < len(configs):
         raise ConfigError(f"config train.dims repeats an essence dimension: {dims!r}")
     prov = app.provenance(app.effective_seed("train"))
@@ -373,19 +363,35 @@ def train_cmd(app: App):
     summary = []
     for config in configs:
         d = config.essence_dim
+        suffix = "" if dims is None else f"_d{d}"
         model, history = train(dataset, config)
-        best = _write_train_outputs(app, dataset, model, history, config, prov, suffix=f"_d{d}")
-        summary.append((d, best))
-        click.echo(f"d={d}: validation MI bound {best.val_mi_bits:.4f} bits")
-
-    def render_summary(fh):
-        fh.write("essence_dim,val_loss_nats,val_mi_bits,best_epoch\n")
-        for d, best in summary:
-            fh.write(
-                f"{d},{_float_cell(best.val_loss)},{_float_cell(best.val_mi_bits)},{best.epoch}\n"
-            )
-
-    write_table(app.out / "mi_by_dim.csv", render_summary, prov)
+        best = min(history, key=lambda h: h.val_loss)
+        doc = {
+            **model.to_dict(),
+            "seed": config.seed,
+            "train_config": dataclasses.asdict(config),
+            "best_val_loss_nats": best.val_loss,
+            "best_val_mi_bits": best.val_mi_bits,
+        }
+        write_json(app.out / f"model{suffix}.json", doc, prov)
+        _write_rows(
+            app.out / f"history{suffix}.csv",
+            ["epoch", "train_loss", "val_loss", "val_mi_bits"],
+            map(dataclasses.astuple, history),
+            prov,
+        )
+        track_ids, values = _extract_essence(model, dataset)
+        write_table(
+            app.out / f"essence{suffix}.csv",
+            lambda fh: write_essence_csv(track_ids, values, fh),
+            prov,
+        )
+        summary.append((d, best.val_loss, best.val_mi_bits, best.epoch))
+        detail = f" (epoch {best.epoch}, {len(history)} epochs run)" if dims is None else ""
+        click.echo(f"d={d}: validation MI bound {best.val_mi_bits:.4f} bits{detail}")
+    if dims is not None:
+        header = ["essence_dim", "val_loss_nats", "val_mi_bits", "best_epoch"]
+        _write_rows(app.out / "mi_by_dim.csv", header, summary, prov)
 
 
 @cli.command()
@@ -399,6 +405,8 @@ def probe(app: App):
             if not (isinstance(features, list) and features
                     and all(isinstance(f, str) for f in features)):
                 raise TypeError(f"features must be a non-empty list of feature names, got {features!r}")
+        if len(set(features)) < len(features):
+            raise ConfigError(f"config probe.features repeats a feature name: {features!r}")
     prov = app.provenance(config.seed)
     dataset = _load_dataset(app, features=False)
     scalars = load_scalar_table(app.path("scalars"))
@@ -431,13 +439,7 @@ def extract_templates(app: App):
     series = [normalize_minmax(values) for _, values in album_values(albums.albums, essence)]
     template_set, history = evolve_templates(series, config, xs=knots)
     write_json(app.out / "templates.json", template_set.to_dict(), prov)
-
-    def render_history(fh):
-        fh.write("generation,best_cost\n")
-        for g, cost in enumerate(history):
-            fh.write(f"{g},{_float_cell(cost)}\n")
-
-    write_table(app.out / "ga_history.csv", render_history, prov)
+    _write_rows(app.out / "ga_history.csv", ["generation", "best_cost"], enumerate(history), prov)
     click.echo(
         f"evolved {template_set.n_templates} templates over {len(series)} albums: "
         f"final cost {template_set.final_cost:.6f} after {len(history)} generations"
@@ -451,24 +453,11 @@ def extract_templates(app: App):
 @click.pass_obj
 def fit(app: App, values_arg, template_index):
     """Fit one album's essence series to a single template curve."""
-    template_set = _load_templates(app)
-    _check_template_index(template_set, template_index)
-    if values_arg is not None:
-        try:
-            values = np.array([float(x) for x in values_arg.split(",")], dtype=np.float64)
-            if values.size < 2 or not np.all(np.isfinite(values)):
-                raise ValueError("need at least 2 finite values")
-        except ValueError:
-            raise ConfigError(f"bad --values: {values_arg!r}") from None
-        track_ids = None
-    else:
-        track_ids, values = _album_essence_input(app)
-    result = fit_ordering(normalize_minmax(values), template_set.curves()[template_index])
-    seed = app.effective_seed()
-    write_json(app.out / "fit.json", _fit_doc(template_index, result, track_ids), app.provenance(seed))
+    [doc] = _fit_docs(app, _load_templates(app), [template_index], values_arg)
+    write_json(app.out / "fit.json", doc, app.provenance(app.effective_seed()))
     click.echo(
-        f"template {template_index}: ordering {list(result.ordering.positions)} "
-        f"(bottleneck {result.bottleneck:.6f}, total {result.total_deviation:.6f})"
+        f"template {template_index}: ordering {doc['ordering']} "
+        f"(bottleneck {doc['bottleneck']:.6f}, total {doc['total_deviation']:.6f})"
     )
 
 
@@ -488,13 +477,8 @@ def reorder(app: App, template_arg):
             selected = [int(template_arg)]
         except ValueError:
             raise ConfigError(f'bad template selector {template_arg!r}; use an index or "all"') from None
-        _check_template_index(template_set, selected[0])
-    track_ids, values = _album_essence_input(app)
-    y = normalize_minmax(values)
-    curves = template_set.curves()
-    fits = [_fit_doc(p, fit_ordering(y, curves[p]), track_ids) for p in selected]
-    seed = app.effective_seed()
-    write_json(app.out / "orderings.json", {"orderings": fits}, app.provenance(seed))
+    fits = _fit_docs(app, template_set, selected)
+    write_json(app.out / "orderings.json", {"orderings": fits}, app.provenance(app.effective_seed()))
     for doc in fits:
         click.echo(
             f"template {doc['template_index']}: {doc['track_order']} "
@@ -539,13 +523,7 @@ def evaluate(app: App):
 
 def _write_scores(app: App, report: dict, prov: dict) -> None:
     """scores.tsv: bar-chart rows of an eval report document."""
-
-    def render(fh):
-        fh.write("condition\tmean\tstderr\n")
-        for name, mean, stderr in plot_rows(report):
-            fh.write(f"{name}\t{_float_cell(mean)}\t{_float_cell(stderr)}\n")
-
-    write_table(app.out / "scores.tsv", render, prov)
+    _write_rows(app.out / "scores.tsv", ["condition", "mean", "stderr"], plot_rows(report), prov, sep="\t")
 
 
 _SVG_PALETTE = ("#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#d68910", "#117a65")
@@ -608,15 +586,8 @@ def plot_data(app: App):
     prov = app.provenance(seed)
     grid = np.linspace(0.0, 1.0, 201)
     samples = np.stack([curve(grid) for curve in template_set.curves()])
-
-    def render_curves(fh):
-        header = "x\t" + "\t".join(f"template_{p}" for p in range(samples.shape[0]))
-        fh.write(header + "\n")
-        for j, x in enumerate(grid):
-            cells = "\t".join(_float_cell(samples[p, j]) for p in range(samples.shape[0]))
-            fh.write(f"{_float_cell(x)}\t{cells}\n")
-
-    write_table(app.out / "curves.tsv", render_curves, prov)
+    header = ["x", *(f"template_{p}" for p in range(samples.shape[0]))]
+    _write_rows(app.out / "curves.tsv", header, zip(grid, *samples), prov, sep="\t")
     svg = _curves_svg(template_set, samples, grid)
     atomic_write_text(app.out / "curves.svg", f"<!-- config_sha256={app.hash} seed={seed} -->\n" + svg)
 

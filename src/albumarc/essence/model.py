@@ -95,14 +95,14 @@ def unflatten_params(
     flat: np.ndarray, shapes: list[tuple[str, tuple[int, ...]]]
 ) -> dict[str, np.ndarray]:
     flat = np.asarray(flat, dtype=np.float64)
+    sizes = [int(np.prod(shape)) for _, shape in shapes]
+    if flat.size != sum(sizes):
+        raise ValueError(f"parameter vector length {flat.size} != expected {sum(sizes)}")
     params: dict[str, np.ndarray] = {}
     offset = 0
-    for name, shape in shapes:
-        size = int(np.prod(shape))
+    for (name, shape), size in zip(shapes, sizes):
         params[name] = flat[offset : offset + size].reshape(shape).copy()
         offset += size
-    if offset != flat.size:
-        raise ValueError(f"parameter vector length {flat.size} != expected {offset}")
     return params
 
 

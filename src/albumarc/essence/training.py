@@ -21,13 +21,7 @@ import numpy as np
 from ..core import Album, album_values, check_field_types
 from ..errors import TrainingDiverged
 from . import autodiff as ad
-from .model import (
-    EssenceModel,
-    ScorerArch,
-    flatten_params,
-    init_params,
-    unflatten_params,
-)
+from .model import EssenceModel, ScorerArch, init_params
 from .objective import (
     batch_loss_graph,
     contrastive_permutations,
@@ -80,24 +74,38 @@ class EpochStats:
 
 
 class Adam:
-    """Standard Adam over a flat parameter vector."""
+    """Standard Adam over one net's parameter arrays, with first and second
+    moments kept per array.  ``weight_decay`` is added to the gradients of
+    the weight matrices (names starting with "w"), not of biases or tokens.
+    Each step replaces :attr:`params` with new arrays and never writes into
+    the old ones."""
 
-    def __init__(self, size: int, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float, weight_decay: float = 0.0):
+        self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.weight_decay = weight_decay
+        self.m = {name: np.zeros_like(p) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p) for name, p in params.items()}
         self.t = 0
 
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def tensors(self) -> dict[str, ad.Tensor]:
+        return {name: ad.Tensor(p) for name, p in self.params.items()}
+
+    def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m_scale = 1.0 - self.beta1**self.t
+        v_scale = 1.0 - self.beta2**self.t
+        params = {}
+        for name, p in self.params.items():
+            grad = grads[name]
+            if self.weight_decay and name.startswith("w"):
+                grad = grad + self.weight_decay * p
+            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * grad
+            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * grad * grad
+            params[name] = p - self.lr * (m / m_scale) / (np.sqrt(v / v_scale) + self.eps)
+        self.params = params
 
 
 def input_stats(albums) -> tuple[np.ndarray, np.ndarray]:
@@ -126,40 +134,6 @@ def _rngs(seed: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
 
 
-def _grad_vector(tensors: dict[str, ad.Tensor], shapes) -> np.ndarray:
-    return np.concatenate([tensors[name].grad.reshape(-1) for name, _ in shapes])
-
-
-def _decay_mask(shapes) -> np.ndarray:
-    # Decay weight matrices only, not biases or tokens.
-    parts = [
-        np.full(int(np.prod(shape)), 1.0 if name.startswith("w") else 0.0)
-        for name, shape in shapes
-    ]
-    return np.concatenate(parts)
-
-
-class _Net:
-    """One network's parameters with their own Adam state; ``decay`` marks the
-    net whose weight matrices take the scorer weight decay."""
-
-    def __init__(self, params: dict[str, np.ndarray], shapes, lr: float, decay: bool = False):
-        self.params = params
-        self.shapes = shapes
-        self.flat = flatten_params(params, shapes)
-        self.adam = Adam(self.flat.size, lr)
-        self.decay = _decay_mask(shapes) if decay else None
-
-    def tensors(self) -> dict[str, ad.Tensor]:
-        return {k: ad.Tensor(v) for k, v in self.params.items()}
-
-    def step(self, grad: np.ndarray, weight_decay: float) -> None:
-        if self.decay is not None:
-            grad += weight_decay * self.decay * self.flat
-        self.flat = self.adam.step(self.flat, grad)
-        self.params = unflatten_params(self.flat, self.shapes)
-
-
 def _stack(data: list[tuple[str, np.ndarray]]) -> tuple[np.ndarray, list[int]]:
     """The albums' rows stacked into one array, and each album's length."""
     return np.concatenate([x for _, x in data]), [len(x) for _, x in data]
@@ -167,7 +141,7 @@ def _stack(data: list[tuple[str, np.ndarray]]) -> tuple[np.ndarray, list[int]]:
 
 def _fit(
     loss_graph,
-    nets: list[_Net],
+    nets: list[Adam],
     train_data: list[tuple[str, np.ndarray]],
     val_data: list[tuple[str, np.ndarray]],
     config: TrainConfig,
@@ -218,7 +192,7 @@ def _fit(
                 )
             ad.backward(ad.segment_sum(losses, [len(batch)]))
             for net, params in zip(nets, tensors):
-                net.step(_grad_vector(params, net.shapes) / len(batch), config.weight_decay_scorer)
+                net.step({name: t.grad / len(batch) for name, t in params.items()})
             epoch_losses.extend(losses.data.tolist())
 
         losses = loss_graph(val_x, val_lengths, val_perms, [net.params for net in nets], None)
@@ -260,8 +234,8 @@ def train(dataset, config: TrainConfig) -> tuple[EssenceModel, list[EpochStats]]
     )
     model.input_mean, model.input_std = input_stats(train_albums)
     nets = [
-        _Net(model.extractor_params, model.extractor_arch.param_shapes(), config.learning_rate),
-        _Net(model.scorer_params, model.scorer_arch.param_shapes(), config.learning_rate, decay=True),
+        Adam(model.extractor_params, config.learning_rate),
+        Adam(model.scorer_params, config.learning_rate, config.weight_decay_scorer),
     ]
 
     def standardized(albums):
@@ -298,7 +272,8 @@ def probe_feature_mi(dataset, feature_values: dict, config: TrainConfig) -> floa
     train_vals, val_vals = zscored(train_albums), zscored(val_albums)
     init_rng, batch_rng, val_rng = _rngs(config.seed)
     shapes = ScorerArch(essence_dim=1, hidden=config.scorer_hidden).param_shapes()
-    scorer = _Net(init_params(shapes, init_rng, out_scale=0.01), shapes, config.learning_rate, decay=True)
+    params = init_params(shapes, init_rng, out_scale=0.01)
+    scorer = Adam(params, config.learning_rate, config.weight_decay_scorer)
 
     def loss_graph(values, lengths, perms, params, dropout_mask):
         return ordering_losses(ad.as_tensor(values), lengths, perms, params[0])

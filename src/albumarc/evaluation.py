@@ -11,7 +11,7 @@ shuffling the album's essence values.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import stats
@@ -171,27 +171,9 @@ class EvalReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "albums": [
-                {
-                    "album_id": e.album_id,
-                    "length": e.length,
-                    "best_template": e.best_template,
-                    "learned_score": e.learned_score,
-                    "random_score": e.random_score,
-                    "shuffled_score": e.shuffled_score,
-                }
-                for e in self.albums
-            ],
-            "mean_learned": self.mean_learned,
-            "mean_random": self.mean_random,
-            "mean_shuffled": self.mean_shuffled,
-            "comparisons": list(self.comparisons),
-            "p_values": list(self.p_values),
-            "rejections": list(self.rejections),
-            "alpha": self.alpha,
-            "seed": self.seed,
-        }
+        """The report as a JSON document: albums become objects and tuples
+        become lists when :func:`~albumarc.fileio.canonical_json` writes it."""
+        return asdict(self)
 
 
 def evaluate_templates(

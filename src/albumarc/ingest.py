@@ -187,7 +187,11 @@ def load_scalar_table(path) -> dict[str, dict[str, float]]:
         raise IngestError(f"{path}: header must be track_id,<feature>...")
     names = header[1:]
     table: dict[str, dict[str, float]] = {name: {} for name in names}
+    seen = set()
     for line_no, row in rows:
+        if row[0] in seen:
+            raise IngestError(f"{path}:{line_no}: duplicate track_id {row[0]!r}")
+        seen.add(row[0])
         for name, cell in zip(names, row[1:]):
             if cell == "":
                 continue

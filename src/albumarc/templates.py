@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_field_types, minmax_series, normalize_minmax, relative_positions
+from .core import EssenceSeries, check_field_types, minmax_series, normalize_minmax, relative_positions
 from .spline import DEFAULT_KNOTS, TemplateCurve, build_spline, sampling_matrix
 
 
@@ -144,10 +144,16 @@ def evolve_templates(
     Returns the best individual (templates min-max renormalized) and the
     per-generation best-cost history.  Truncation selection over parents plus
     children keeps the best individual alive, so the history never increases.
-    Deterministic for a given config seed.
+    Deterministic for a given config seed.  A series of fewer than 2 values
+    is rejected up front, naming its album (id, or index for a plain array).
     """
     if not albums:
         raise ValueError("no albums to fit")
+    for i, album in enumerate(albums):
+        n = len(album) if isinstance(album, EssenceSeries) else np.size(album)
+        if n < 2:
+            name = album.album_id if isinstance(album, EssenceSeries) else i
+            raise ValueError(f"album {name!r} has {n} track(s); template extraction needs at least 2")
     values_list = [minmax_series(a) for a in albums]
     grid = np.array(DEFAULT_KNOTS if xs is None else xs, dtype=np.float64)
     groups = _length_groups(values_list, grid)

@@ -13,6 +13,9 @@ onto the autodiff graph and the loops were merged into one:
 - :func:`mi_on_albums` is the MI bound on freshly drawn contrastive sets;
 - :func:`contrastive_permutations` draws negatives one
   ``rng.permutation`` at a time, redrawing accidental identities;
+- :class:`Adam` is the optimizer over one flat parameter vector per net,
+  which the package stepped through ``flatten_params``/``unflatten_params``
+  before its Adam kept its moments per parameter array;
 - :func:`album_loss_graph` and :func:`scorer_loss_graph` are the per-album
   loss graphs the package built before minibatches became one graph: the
   scorer (:func:`score_sequences_graph`) runs on every candidate's L+1
@@ -39,8 +42,29 @@ from albumarc.essence.model import (
     unflatten_params,
 )
 from albumarc.essence.objective import mi_lower_bound, zscore_columns
-from albumarc.essence.training import Adam, EpochStats, TrainConfig, input_stats
+from albumarc.essence.training import EpochStats, TrainConfig, input_stats
 from conftest import info_nce_loss
+
+
+class Adam:
+    """Standard Adam over a flat parameter vector."""
+
+    def __init__(self, size: int, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.t = 0
+
+    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        self.t += 1
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+        m_hat = self.m / (1.0 - self.beta1**self.t)
+        v_hat = self.v / (1.0 - self.beta2**self.t)
+        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def tsum(a, axis=None, keepdims=False) -> ad.Tensor:

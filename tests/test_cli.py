@@ -214,6 +214,51 @@ class TestPipeline:
         for name, blob in before.items():
             assert (out / name).read_bytes() == blob, name
 
+    def test_table_cells_are_float_reprs(self, workspace, tmp_path):
+        # Every number in the tables reads back to the float it was written
+        # from: integer columns as ints, every other cell as repr(float).
+        ws, out, config, _, _ = workspace
+        doc = json.loads(config.read_text())
+        doc["paths"] = {"dataset": str(out / "dataset.csv")}
+        doc["train"].update(dims=[1, 2], max_epochs=2)
+        sweep_config = tmp_path / "sweep.json"
+        sweep_config.write_text(json.dumps(doc))
+        sweep = tmp_path / "sweep"
+        run_ok("--config", str(sweep_config), "--out", str(sweep), "train")
+        assert not (sweep / "model.json").exists()
+
+        def rows(path, sep=","):
+            lines = path.read_text().splitlines()
+            assert lines[0].startswith("# config_sha256=")
+            return [line.split(sep) for line in lines[2:]]
+
+        # (table, separator, leading and trailing columns that hold no float)
+        tables = [
+            (out / "history.csv", ",", 1, 0),
+            (sweep / "history_d1.csv", ",", 1, 0),
+            (sweep / "history_d2.csv", ",", 1, 0),
+            (out / "ga_history.csv", ",", 1, 0),
+            (sweep / "mi_by_dim.csv", ",", 1, 1),
+            (out / "scores.tsv", "\t", 1, 0),
+            (out / "curves.tsv", "\t", 0, 0),
+        ]
+        for path, sep, lead, trail in tables:
+            table = rows(path, sep)
+            assert table, path.name
+            for row in table:
+                floats = row[lead : len(row) - trail]
+                assert floats and all(cell == repr(float(cell)) for cell in floats), (path.name, row)
+
+        costs = rows(out / "ga_history.csv")
+        templates = json.loads((out / "templates.json").read_text())
+        assert float(costs[-1][1]) == templates["final_cost"]
+        for d, loss, bits, epoch in rows(sweep / "mi_by_dim.csv"):
+            model = json.loads((sweep / f"model_d{d}.json").read_text())
+            assert model["train_config"]["essence_dim"] == int(d)
+            assert (float(loss), float(bits)) == (model["best_val_loss_nats"], model["best_val_mi_bits"])
+            history = rows(sweep / f"history_d{d}.csv")
+            assert history[int(epoch)][2:] == [loss, bits]
+
     def test_seed_flag_overrides_config(self, workspace, tmp_path):
         ws, _, config, _, _ = workspace
         out2 = tmp_path / "out99"
@@ -427,6 +472,49 @@ class TestErrors:
         assert result.returncode == 2, result.stderr
         assert "train.dims repeats an essence dimension" in result.stderr
         assert not (tmp_path / "o").exists()
+
+    def test_repeated_probe_features(self, workspace, tmp_path):
+        # A repeated feature would train its probe twice and print it twice;
+        # it is a config error (exit 2) naming the key, before any data file
+        # is read.
+        _, _, config, _, _ = workspace
+        doc = json.loads(config.read_text())
+        doc["paths"] = {"dataset": str(tmp_path / "absent.csv"), "scalars": str(tmp_path / "absent.csv")}
+        doc["probe"]["features"] = ["latent", "noise", "latent"]
+        bad = tmp_path / "features.json"
+        bad.write_text(json.dumps(doc))
+        result = run("--config", str(bad), "--out", str(tmp_path / "o"), "probe")
+        assert result.returncode == 2, result.stderr
+        assert "probe.features repeats a feature name" in result.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda doc: doc.pop("scorer_params"), "'scorer_params'"),
+            (lambda doc: doc.update(extractor_params=[]), "parameter vector length 0 != expected"),
+        ],
+    )
+    def test_bad_model_file(self, workspace, tmp_path, damage, message):
+        # A malformed paths.model is a data error (exit 2) naming the file,
+        # as a malformed templates file is.
+        _, out, config, _, _ = workspace
+        model = json.loads((out / "model.json").read_text())
+        damage(model)
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        doc = json.loads(config.read_text())
+        doc["paths"] = {
+            "dataset": str(out / "dataset.csv"),
+            "model": str(tmp_path / "model.json"),
+            "templates": str(out / "templates.json"),
+        }
+        bad = tmp_path / "model_config.json"
+        bad.write_text(json.dumps(doc))
+        for command in ("extract-templates", "evaluate"):
+            result = run("--config", str(bad), "--out", str(tmp_path / "o"), command)
+            assert result.returncode == 2, (command, result.stderr)
+            assert f"model.json: bad model file: {message}" in result.stderr
+            assert "Traceback" not in result.stderr
 
     def test_missing_essence_track(self, workspace, tmp_path):
         # A track absent from paths.essence is a data error (exit 2) naming

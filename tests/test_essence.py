@@ -29,7 +29,7 @@ from albumarc.essence.objective import (
     sample_negative_permutations,
     zscore_columns,
 )
-from albumarc.essence.training import input_stats, probe_feature_mi
+from albumarc.essence.training import Adam, input_stats, probe_feature_mi
 from albumarc.ingest import SynthConfig, synth_generate
 
 import essence_oracle as oracle
@@ -385,7 +385,7 @@ class TestPersistence:
         back = unflatten_params(flat, arch.param_shapes())
         for k in params:
             np.testing.assert_array_equal(back[k], params[k])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="parameter vector length"):
             unflatten_params(flat[:-1], arch.param_shapes())
 
     def test_init_scales(self):
@@ -658,6 +658,29 @@ class TestAgainstOracle:
                 worst_grad = max(worst_grad, np.abs(mine - ref).max() / len(lengths))
         assert worst_loss <= 1e-12
         assert worst_grad <= 1e-12
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_adam_matches_flat_oracle(self, weight_decay):
+        # Moments kept per array step every parameter bitwise as the flat
+        # vector's Adam did, with the decay on the w* arrays only.
+        rng = np.random.default_rng(44)
+        shapes = ScorerArch(essence_dim=2, hidden=5).param_shapes()
+        params = init_params(shapes, rng)
+        start = copy.deepcopy(params)
+        adam = Adam(params, 0.01, weight_decay)
+        flat = flatten_params(params, shapes)
+        ref = oracle.Adam(flat.size, 0.01)
+        decay = oracle._decay_mask(shapes)
+        for _ in range(20):
+            grads = {name: rng.standard_normal(shape) for name, shape in shapes}
+            for grad in grads.values():
+                grad[rng.random(grad.shape) < 0.2] = 0.0
+            flat = ref.step(flat, flatten_params(grads, shapes) + weight_decay * decay * flat)
+            adam.step(grads)
+            assert adam.params.keys() == params.keys()
+            np.testing.assert_array_equal(flatten_params(adam.params, shapes), flat)
+        for name in params:
+            np.testing.assert_array_equal(params[name], start[name])
 
     @staticmethod
     def assert_same_training(ds, cfg, loss_atol, param_atol):

@@ -583,6 +583,13 @@ class TestScalarTable:
         with pytest.raises(IngestError, match=r":2: non-numeric value 'fast' for tempo"):
             load_scalar_table(path)
 
+    def test_duplicate_track_id(self, tmp_path):
+        # A repeated row would silently replace the first row's values.
+        path = tmp_path / "scalars.csv"
+        path.write_text("track_id,tempo\nt1,0.0941\nt2,0.5\nt1,0.123\n")
+        with pytest.raises(IngestError, match=r"scalars.csv:4: duplicate track_id 't1'"):
+            load_scalar_table(path)
+
 
 class TestEssenceCsv:
     def test_roundtrip_scalar(self, tmp_path):

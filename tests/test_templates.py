@@ -178,6 +178,18 @@ class TestTemplateCost:
         with pytest.raises(ValueError, match="at least 2 scalar values"):
             template_cost(ts, [np.array([0.5])])
 
+    def test_evolve_names_one_track_album(self):
+        # A series too short to fit is named, by album id or by index, with
+        # its length, before the GA draws anything.
+        albums = [np.linspace(0, 1, 5) for _ in range(6)]
+        config = GAConfig(generations=2)
+        with pytest.raises(ValueError, match=r"album 'one' has 1 track\(s\); template extraction needs at least 2"):
+            evolve_templates(albums + [EssenceSeries("one", [[0.5]], "minmax")], config)
+        with pytest.raises(ValueError, match=r"album 2 has 1 track\(s\)"):
+            evolve_templates(albums[:2] + [np.array([0.5])] + albums[2:], config)
+        with pytest.raises(ValueError, match=r"album 0 has 0 track\(s\)"):
+            evolve_templates([np.array([])], config)
+
     def test_scale_invariance_of_template_rows(self):
         # Cost depends on templates only through their min-max renorm.
         rng = np.random.default_rng(7)
