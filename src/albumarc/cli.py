@@ -10,6 +10,7 @@ and seed are byte-identical.
 from __future__ import annotations
 
 import contextlib
+import csv
 import dataclasses
 import json
 import logging
@@ -44,9 +45,7 @@ from .ingest import (
     load_feature_table,
     load_scalar_table,
     synth_generate,
-    write_essence_csv,
     write_feature_csv,
-    write_scalar_csv,
 )
 from .spline import check_knots
 from .templates import GAConfig, TemplateSet, evolve_templates
@@ -122,11 +121,7 @@ class App:
 
 
 def _load_config(path: Path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    doc = _read_input_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     if "version" not in doc:
@@ -288,12 +283,16 @@ def _fit_docs(app: App, template_set: TemplateSet, indices: list[int], values_ar
 
 
 def _write_rows(path: Path, header: list[str], rows, prov: dict, sep: str = ",") -> None:
-    """Write a text table of ``header`` and ``rows``: a float cell is written
-    as its repr, which reads back to the same float, any other cell as str."""
+    """Write a text table of ``header`` and ``rows`` through ``csv``: a float
+    cell is written as its repr, which reads back to the same float, None as
+    an empty cell, any other cell as str."""
 
     def render(fh):
-        for row in [header, *rows]:
-            fh.write(sep.join(repr(float(c)) if isinstance(c, float) else str(c) for c in row) + "\n")
+        writer = csv.writer(fh, delimiter=sep, lineterminator="\n")
+        writer.writerow(header)
+        # csv writes a float as its repr; under numpy 2 an np.float64's repr
+        # is "np.float64(x)", hence float().
+        writer.writerows([float(c) if isinstance(c, float) else c for c in row] for row in rows)
 
     write_table(path, render, prov)
 
@@ -333,11 +332,11 @@ def synth(app: App):
     dataset = synth_generate(config, shuffle_orders=shuffle_orders)
     prov = app.provenance(config.seed)
     write_table(app.out / "dataset.csv", lambda fh: write_feature_csv(dataset, fh), prov)
-    write_table(
-        app.out / "scalars.csv",
-        lambda fh: write_scalar_csv(dataset.scalar_features, fh),
-        prov,
-    )
+    scalars = dataset.scalar_features
+    names = sorted(scalars)
+    track_ids = dict.fromkeys(tid for name in names for tid in scalars[name])
+    rows = ([tid, *(scalars[name].get(tid) for name in names)] for tid in track_ids)
+    _write_rows(app.out / "scalars.csv", ["track_id", *names], rows, prov)
     click.echo(
         f"wrote {app.out / 'dataset.csv'}: {len(dataset)} albums, "
         f"{dataset.track_count()} tracks ({config.latent_shape}, noise {config.noise_sigma})"
@@ -381,11 +380,9 @@ def train_cmd(app: App):
             prov,
         )
         track_ids, values = _extract_essence(model, dataset)
-        write_table(
-            app.out / f"essence{suffix}.csv",
-            lambda fh: write_essence_csv(track_ids, values, fh),
-            prov,
-        )
+        header = ["track_id", *(f"essence_{j + 1}" for j in range(values.shape[1]))]
+        rows = ([tid, *row] for tid, row in zip(track_ids, values.tolist()))
+        _write_rows(app.out / f"essence{suffix}.csv", header, rows, prov)
         summary.append((d, best.val_loss, best.val_mi_bits, best.epoch))
         detail = f" (epoch {best.epoch}, {len(history)} epochs run)" if dims is None else ""
         click.echo(f"d={d}: validation MI bound {best.val_mi_bits:.4f} bits{detail}")

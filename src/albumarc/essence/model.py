@@ -236,11 +236,17 @@ class EssenceModel:
         sa = doc["scorer_arch"]
         ext = ExtractorArch(in_dim=int(ea["in_dim"]), hidden=int(ea["hidden"]), out_dim=int(ea["out_dim"]))
         sco = ScorerArch(essence_dim=int(sa["essence_dim"]), hidden=int(sa["hidden"]))
+        mean, std = (np.array(doc[key], dtype=np.float64) for key in ("input_mean", "input_std"))
+        for key, stats in (("input_mean", mean), ("input_std", std)):
+            if stats.shape != (ext.in_dim,):
+                raise ValueError(f"{key} length {stats.size} != in_dim {ext.in_dim}")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and std.all()):
+            raise ValueError("input standardization must be finite, with a non-zero input_std")
         return cls(
             extractor_arch=ext,
             scorer_arch=sco,
             extractor_params=unflatten_params(np.array(doc["extractor_params"]), ext.param_shapes()),
             scorer_params=unflatten_params(np.array(doc["scorer_params"]), sco.param_shapes()),
-            input_mean=np.array(doc["input_mean"], dtype=np.float64),
-            input_std=np.array(doc["input_std"], dtype=np.float64),
+            input_mean=mean,
+            input_std=std,
         )

@@ -180,34 +180,64 @@ def _load_table(path, make_track) -> Dataset:
 
 
 def load_scalar_table(path) -> dict[str, dict[str, float]]:
-    """Load the companion per-track scalar table: feature name -> track -> value."""
+    """Load the companion per-track scalar table: feature name -> track ->
+    value.  An empty cell is a missing value."""
+    names, rows = _load_track_table(
+        path, "<feature>...", lambda names: True,
+        "non-numeric value {cell!r} for {name}",
+        "non-finite value {cell!r} for {name} of track {track!r}", missing=True,
+    )
+    return {
+        name: {track: row[j] for track, row in rows.items() if row[j] is not None}
+        for j, name in enumerate(names)
+    }
+
+
+def load_essence_csv(path) -> tuple[list[str], np.ndarray]:
+    """Load an essence export; returns track ids in file order and an (n, d)
+    value matrix."""
+    _, rows = _load_track_table(
+        path, "essence_1,...", lambda names: names == [f"essence_{j + 1}" for j in range(len(names))],
+        "non-numeric essence value", "non-finite essence value",
+    )
+    if not rows:
+        raise IngestError(f"{path}: no essence rows")
+    return list(rows), np.array(list(rows.values()), dtype=np.float64)
+
+
+def _load_track_table(path, rule, names_ok, non_numeric, non_finite, missing=False):
+    """Read a ``track_id,<column>,...`` table into its column names and
+    track id -> row of floats, in file order.
+
+    The header must be ``track_id,<rule>``: unique, non-empty column names
+    for which ``names_ok`` holds.  A bad cell is reported by ``non_numeric``
+    or ``non_finite``, formatted with its ``cell``, column ``name`` and
+    ``track``; with ``missing``, an empty cell reads as None.
+    """
     rows = read_table(path)
     _, header = next(rows)
-    if len(header) < 2 or header[0] != "track_id":
-        raise IngestError(f"{path}: header must be track_id,<feature>...")
     names = header[1:]
-    table: dict[str, dict[str, float]] = {name: {} for name in names}
-    seen = set()
+    if len(header) < 2 or header[0] != "track_id" or not names_ok(names):
+        raise IngestError(f"{path}: header must be track_id,{rule}")
+    for j, name in enumerate(names):
+        if not name or name in names[:j]:
+            problem = "a repeated" if name else "an empty"
+            raise IngestError(f"{path}: column {j + 2} has {problem} name {name!r}")
+    table: dict[str, list[float | None]] = {}
     for line_no, row in rows:
-        if row[0] in seen:
-            raise IngestError(f"{path}:{line_no}: duplicate track_id {row[0]!r}")
-        seen.add(row[0])
+        track, where = row[0], f"{path}:{line_no}: "
+        if track in table:
+            raise IngestError(f"{where}duplicate track_id {track!r}")
+        table[track] = cells = []
         for name, cell in zip(names, row[1:]):
-            if cell == "":
-                continue
             try:
-                value = float(cell)
+                value = None if missing and cell == "" else float(cell)
             except ValueError:
-                raise IngestError(
-                    f"{path}:{line_no}: non-numeric value {cell!r} for {name}"
-                ) from None
-            if not math.isfinite(value):
-                raise IngestError(
-                    f"{path}:{line_no}: non-finite value {cell!r} for {name} "
-                    f"of track {row[0]!r}"
-                )
-            table[name][row[0]] = value
-    return table
+                raise IngestError(where + non_numeric.format(cell=cell, name=name)) from None
+            if value is not None and not math.isfinite(value):
+                raise IngestError(where + non_finite.format(cell=cell, name=name, track=track))
+            cells.append(value)
+    return names, table
 
 
 def filter_albums(
@@ -336,64 +366,3 @@ def write_feature_csv(dataset: Dataset, fh) -> None:
             id_writer.writerow([album.album_id, track.track_id, position, split])
             values = repr(track.flat.tolist())[1:-1].replace(", ", ",")
             fh.write(f"{ids.getvalue()[:-1]},{values}\n")
-
-
-def write_essence_csv(track_ids, values, fh) -> None:
-    """Write per-track essence vectors: ``track_id,essence_1,...,essence_d``."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim == 1:
-        values = values.reshape(-1, 1)
-    if len(track_ids) != values.shape[0]:
-        raise ValueError("track_ids and values disagree in length")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["track_id"] + [f"essence_{j + 1}" for j in range(values.shape[1])])
-    for tid, row in zip(track_ids, values):
-        writer.writerow([tid] + [repr(float(x)) for x in row])
-
-
-def load_essence_csv(path) -> tuple[list[str], np.ndarray]:
-    """Load an essence export; returns track ids in file order and an (n, d)
-    value matrix."""
-    rows = read_table(path)
-    _, header = next(rows)
-    expected = ["track_id"] + [f"essence_{j + 1}" for j in range(len(header) - 1)]
-    if header != expected or len(header) < 2:
-        raise IngestError(f"{path}: header must be track_id,essence_1,...")
-    track_ids: list[str] = []
-    values: list[list[float]] = []
-    seen = set()
-    for line_no, row in rows:
-        if row[0] in seen:
-            raise IngestError(f"{path}:{line_no}: duplicate track_id {row[0]!r}")
-        seen.add(row[0])
-        try:
-            cells = [float(x) for x in row[1:]]
-        except ValueError:
-            raise IngestError(f"{path}:{line_no}: non-numeric essence value") from None
-        if not all(math.isfinite(x) for x in cells):
-            raise IngestError(f"{path}:{line_no}: non-finite essence value")
-        values.append(cells)
-        track_ids.append(row[0])
-    if not track_ids:
-        raise IngestError(f"{path}: no essence rows")
-    return track_ids, np.array(values, dtype=np.float64)
-
-
-def write_scalar_csv(scalar_features: dict, fh) -> None:
-    """Write probe scalars as track_id,<feature>... with a stable column order."""
-    names = sorted(scalar_features)
-    track_ids: list[str] = []
-    seen = set()
-    for name in names:
-        for tid in scalar_features[name]:
-            if tid not in seen:
-                seen.add(tid)
-                track_ids.append(tid)
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["track_id"] + names)
-    for tid in track_ids:
-        row = [tid]
-        for name in names:
-            value = scalar_features[name].get(tid)
-            row.append("" if value is None else repr(float(value)))
-        writer.writerow(row)

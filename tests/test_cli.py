@@ -1,14 +1,23 @@
 """End-to-end tests for the command-line pipeline and its error handling."""
 
+import dataclasses
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from albumarc import cli
+from albumarc.core import Album, TrackFeatures
+from albumarc.essence import EssenceModel
 from albumarc.fileio import config_hash
-from albumarc.ingest import load_feature_table
+from albumarc.ingest import SynthConfig, filter_albums, load_feature_table, synth_generate
+
+from conftest import essence_map
+from table_oracle import write_essence_csv, write_scalar_csv
 
 CLI = (sys.executable, "-m", "albumarc.cli")
 
@@ -241,6 +250,10 @@ class TestPipeline:
             (sweep / "mi_by_dim.csv", ",", 1, 1),
             (out / "scores.tsv", "\t", 1, 0),
             (out / "curves.tsv", "\t", 0, 0),
+            (out / "essence.csv", ",", 1, 0),
+            (sweep / "essence_d1.csv", ",", 1, 0),
+            (sweep / "essence_d2.csv", ",", 1, 0),
+            (out / "scalars.csv", ",", 1, 0),
         ]
         for path, sep, lead, trail in tables:
             table = rows(path, sep)
@@ -264,6 +277,74 @@ class TestPipeline:
         out2 = tmp_path / "out99"
         run_ok("--config", str(config), "--out", str(out2), "--seed", "99", "synth")
         assert "seed=99" in provenance_line(out2 / "dataset.csv")
+
+
+def _table_body(path) -> str:
+    """A CLI table's text after its provenance line."""
+    text = path.read_bytes().decode("utf-8")
+    assert text.startswith("# config_sha256=")
+    return text[text.index("\n") + 1 :]
+
+
+def _oracle_essence_text(out) -> str:
+    """essence.csv as the reference writer writes the model's essence."""
+    model = EssenceModel.from_dict(json.loads((out / "model.json").read_text()))
+    essence = essence_map(model, filter_albums(load_feature_table(out / "dataset.csv")))
+    fh = io.StringIO()
+    write_essence_csv(list(essence), list(essence.values()), fh)
+    return fh.getvalue()
+
+
+class TestPerTrackTables:
+    """essence.csv and scalars.csv go through the CLI's one table writer and
+    keep the bytes of the reference writers in tests/table_oracle.py."""
+
+    def test_match_oracles_on_synth(self, workspace):
+        _, out, _, _, _ = workspace
+        synth = MAIN_CONFIG["synth"]
+        dataset = synth_generate(
+            SynthConfig(n_albums=synth["n_albums"], length_range=tuple(synth["length_range"]), seed=synth["seed"])
+        )
+        scalars = io.StringIO()
+        write_scalar_csv(dataset.scalar_features, scalars)
+        assert _table_body(out / "scalars.csv") == scalars.getvalue()
+        assert _table_body(out / "essence.csv") == _oracle_essence_text(out)
+
+    def test_match_oracles_on_awkward_ids_and_missing_cells(self, tmp_path, monkeypatch):
+        # synth writes a dataset whose ids csv must quote and scalars with
+        # missing cells; train then writes essence for those ids.
+        awkward = ["with,comma", 'with"quote', "with\nnewline", " spaced "]
+        dataset = synth_generate(SynthConfig(n_albums=10, length_range=(4, 6), seed=3))
+        first = dataset.albums[0]
+        tracks = tuple(
+            TrackFeatures(track_id=f"{awkward[j % 4]}{j}", stats=t.stats) for j, t in enumerate(first.tracks)
+        )
+        ids = [t.track_id for t in tracks]
+        scalars = {
+            "tempo": {tid: 0.1 * j for j, tid in enumerate(ids)},
+            "energy": {tid: -1.0 / (j + 1) for j, tid in enumerate(ids) if j % 2},
+            "mood": {"only,here": 0.25, ids[0]: 1e-300},
+        }
+        dataset = dataclasses.replace(
+            dataset, albums=(Album(first.album_id, tracks), *dataset.albums[1:]), scalar_features=scalars
+        )
+        monkeypatch.setattr(cli, "synth_generate", lambda config, shuffle_orders: dataset)
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"version": 1, "paths": {"dataset": "out/dataset.csv"}, "train": MAIN_CONFIG["train"]})
+        )
+        out = tmp_path / "out"
+        for command in ("synth", "train"):
+            result = CliRunner().invoke(cli.cli, ["--config", str(config), "--out", str(out), command])
+            assert result.exit_code == 0, (command, result.output, result.exception)
+
+        oracle = io.StringIO()
+        write_scalar_csv(scalars, oracle)
+        assert _table_body(out / "scalars.csv") == oracle.getvalue()
+        assert '"with,comma0",,1e-300,0.0\n"with\nnewline2",,,0.2\n' in oracle.getvalue()
+        essence = _table_body(out / "essence.csv")
+        assert essence == _oracle_essence_text(out)
+        assert '"with""quote1",' in essence and '"with\nnewline2",' in essence
 
 
 class TestErrors:
@@ -493,6 +574,11 @@ class TestErrors:
         [
             (lambda doc: doc.pop("scorer_params"), "'scorer_params'"),
             (lambda doc: doc.update(extractor_params=[]), "parameter vector length 0 != expected"),
+            (lambda doc: doc.update(input_mean=doc["input_mean"][:3]), "input_mean length 3 != in_dim 525"),
+            (lambda doc: doc.update(input_std=doc["input_std"] + [1.0]), "input_std length 526 != in_dim 525"),
+            (lambda doc: doc["input_std"].__setitem__(7, 0.0), "input standardization must be finite"),
+            (lambda doc: doc["input_std"].__setitem__(7, float("inf")), "input standardization must be finite"),
+            (lambda doc: doc["input_mean"].__setitem__(7, float("nan")), "input standardization must be finite"),
         ],
     )
     def test_bad_model_file(self, workspace, tmp_path, damage, message):

@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+from albumarc.cli import _write_rows as write_cli_table
 from albumarc.core import N_FEATURES, N_STATS, Album, Track, TrackFeatures, relative_positions
 from albumarc.errors import IngestError
 from albumarc.fileio import write_table
@@ -27,12 +28,11 @@ from albumarc.ingest import (
     load_feature_table,
     load_scalar_table,
     synth_generate,
-    write_essence_csv,
     write_feature_csv,
-    write_scalar_csv,
 )
 
 from conftest import planted_latent
+from table_oracle import write_essence_csv
 
 
 def _track(track_id, fill=0.0):
@@ -560,8 +560,8 @@ class TestScalarTable:
             "energy": {"t1": -3.0, "t3": 0.125},
         }
         path = tmp_path / "scalars.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            write_scalar_csv(scalars, fh)
+        rows = [["t1", -3.0, 0.5], ["t2", None, 1.25], ["t3", 0.125, None]]
+        write_cli_table(path, ["track_id", "energy", "tempo"], rows, {"seed": 0})
         loaded = load_scalar_table(path)
         assert loaded == scalars
 
@@ -590,13 +590,29 @@ class TestScalarTable:
         with pytest.raises(IngestError, match=r"scalars.csv:4: duplicate track_id 't1'"):
             load_scalar_table(path)
 
+    @pytest.mark.parametrize(
+        "header, match",
+        [
+            ("track_id,tempo,tempo", r"scalars\.csv: column 3 has a repeated name 'tempo'"),
+            ("track_id,tempo,", r"scalars\.csv: column 3 has an empty name ''"),
+            ("track_id,,tempo", r"scalars\.csv: column 2 has an empty name ''"),
+        ],
+    )
+    def test_repeated_or_empty_column_name(self, tmp_path, header, match):
+        # A repeated column would silently replace the first one's values,
+        # and an empty name would be a feature that probe trains.
+        path = tmp_path / "scalars.csv"
+        path.write_text(f"{header}\nt1,0.5,0.9\n")
+        with pytest.raises(IngestError, match=match):
+            load_scalar_table(path)
+
 
 class TestEssenceCsv:
     def test_roundtrip_scalar(self, tmp_path):
         path = tmp_path / "essence.csv"
         values = np.array([0.1, 0.9, 0.5])
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            write_essence_csv(["t1", "t2", "t3"], values, fh)
+        rows = ([tid, v] for tid, v in zip(["t1", "t2", "t3"], values))
+        write_cli_table(path, ["track_id", "essence_1"], rows, {"seed": 0})
         ids, back = load_essence_csv(path)
         assert ids == ["t1", "t2", "t3"]
         np.testing.assert_array_equal(back, values.reshape(3, 1))
@@ -604,13 +620,15 @@ class TestEssenceCsv:
     def test_roundtrip_vector(self, tmp_path):
         path = tmp_path / "essence.csv"
         values = np.arange(6, dtype=np.float64).reshape(3, 2) / 7.0
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            write_essence_csv(["a", "b", "c"], values, fh)
+        rows = ([tid, *row] for tid, row in zip(["a", "b", "c"], values))
+        write_cli_table(path, ["track_id", "essence_1", "essence_2"], rows, {"seed": 0})
         ids, back = load_essence_csv(path)
         assert ids == ["a", "b", "c"]
         np.testing.assert_array_equal(back, values)
 
     def test_length_mismatch(self):
+        # The reference writer's own check; the CLI zips ids and values of
+        # one extractor pass.
         with pytest.raises(ValueError, match="disagree in length"):
             write_essence_csv(["t1"], np.zeros((2, 1)), io.StringIO())
 
