@@ -406,7 +406,8 @@ def probe(app: App):
             raise ConfigError(f"config probe.features repeats a feature name: {features!r}")
     prov = app.provenance(config.seed)
     dataset = _load_dataset(app, features=False)
-    scalars = load_scalar_table(app.path("scalars"))
+    scalars_path = app.path("scalars")
+    scalars = load_scalar_table(scalars_path)
     if features is None:
         features = sorted(scalars)
     results = {}
@@ -415,7 +416,10 @@ def probe(app: App):
             raise ConfigError(f"scalar feature {name!r} not present in scalars file")
         values = scalars[name]
         covered, dropped = drop_tracks_missing(dataset, values)
-        mi = probe_feature_mi(covered, values, config)
+        try:
+            mi = probe_feature_mi(covered, values, config)
+        except ValueError as exc:  # too few albums left with this feature
+            raise IngestError(f"{scalars_path}: feature {name!r}: {exc}") from None
         results[name] = {"mi_bits": mi, "dropped_tracks": dropped}
         click.echo(f"{name}: {mi:.4f} bits ({dropped} tracks dropped)")
     write_json(app.out / "probe.json", {"features": results}, prov)
@@ -508,7 +512,7 @@ def evaluate(app: App):
     report = evaluate_templates(albums, essence, template_set, seed=seed, alpha=alpha)
     doc = report.to_dict()
     write_json(app.out / "eval_report.json", doc, prov)
-    _write_scores(app, doc, prov)
+    _write_scores(app, plot_rows(doc), prov)
     click.echo(
         f"mean scores: learned {report.mean_learned:.4f}, "
         f"random {report.mean_random:.4f}, shuffled {report.mean_shuffled:.4f}"
@@ -518,9 +522,16 @@ def evaluate(app: App):
         click.echo(f"{name}: p={p:.3e}, null {verdict} at family alpha {report.alpha}")
 
 
-def _write_scores(app: App, report: dict, prov: dict) -> None:
-    """scores.tsv: bar-chart rows of an eval report document."""
-    _write_rows(app.out / "scores.tsv", ["condition", "mean", "stderr"], plot_rows(report), prov, sep="\t")
+def _write_scores(app: App, rows: list, prov: dict) -> None:
+    """scores.tsv: bar-chart rows of an eval report."""
+    _write_rows(app.out / "scores.tsv", ["condition", "mean", "stderr"], rows, prov, sep="\t")
+
+
+def _report_rows(doc) -> list:
+    """Bar-chart rows of an eval report document; none if it has no albums."""
+    if not isinstance(doc, dict):
+        raise TypeError("an eval report must be a JSON object")
+    return plot_rows(doc) if doc.get("albums") else []
 
 
 _SVG_PALETTE = ("#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#d68910", "#117a65")
@@ -579,6 +590,8 @@ def _curves_svg(template_set: TemplateSet, samples: np.ndarray, grid: np.ndarray
 def plot_data(app: App):
     """Export template curves (TSV + SVG) and, if available, score bars."""
     template_set = _load_templates(app)
+    report_path = app.path("eval_report", required=False)
+    scores = [] if report_path is None else _load_input(report_path, _report_rows, "eval report")
     seed = app.effective_seed()
     prov = app.provenance(seed)
     grid = np.linspace(0.0, 1.0, 201)
@@ -587,14 +600,10 @@ def plot_data(app: App):
     _write_rows(app.out / "curves.tsv", header, zip(grid, *samples), prov, sep="\t")
     svg = _curves_svg(template_set, samples, grid)
     atomic_write_text(app.out / "curves.svg", f"<!-- config_sha256={app.hash} seed={seed} -->\n" + svg)
-
-    report_path = app.path("eval_report", required=False)
     wrote = ["curves.tsv", "curves.svg"]
-    if report_path is not None:
-        doc = _read_input_json(report_path)
-        if doc.get("albums"):
-            _write_scores(app, doc, prov)
-            wrote.append("scores.tsv")
+    if scores:
+        _write_scores(app, scores, prov)
+        wrote.append("scores.tsv")
     click.echo(f"wrote {', '.join(wrote)} in {app.out}")
 
 

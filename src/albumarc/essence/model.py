@@ -4,8 +4,8 @@ The extractor is a two-layer feed-forward net over the flattened per-track
 feature matrix with a sigmoid output, so each essence entry lies in (0, 1).
 The scorer sums a small pairwise-comparison net over adjacent elements of the
 (normalized) essence sequence, bracketed by learnable start and end tokens,
-and has no output nonlinearity.  Architectures are descriptor-driven so
-alternative extractors or scorers can be slotted in behind the same surface.
+and has no output nonlinearity.  The architecture descriptors fix the
+parameter layout that ``model.json`` stores.
 
 Both nets have one forward, built on the autodiff graph: training
 differentiates it, while essence output and scoring read its value without a

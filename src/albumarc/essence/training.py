@@ -7,7 +7,8 @@ once before the first epoch, so the early-stopping signal is not inflated by
 per-epoch resampling luck.
 
 Joint training and the scorer-only probe run one loop, :func:`_fit`, over one
-contrastive-loss graph per minibatch; validation evaluates that graph once per
+loss graph per minibatch, :func:`~.objective.batch_loss_graph` of the
+extractor's essence or of the probed feature; validation evaluates it once per
 epoch over every validation album, without dropout.
 """
 
@@ -22,13 +23,7 @@ from ..core import Album, album_values, check_field_types
 from ..errors import TrainingDiverged
 from . import autodiff as ad
 from .model import EssenceModel, ScorerArch, init_params
-from .objective import (
-    batch_loss_graph,
-    contrastive_permutations,
-    mi_lower_bound,
-    ordering_losses,
-    zscore_columns,
-)
+from .objective import batch_loss_graph, contrastive_permutations, mi_lower_bound
 
 
 @dataclass(frozen=True)
@@ -242,7 +237,8 @@ def train(dataset, config: TrainConfig) -> tuple[EssenceModel, list[EpochStats]]
         return [(a.album_id, model.standardize(np.stack([t.flat for t in a.tracks]))) for a in albums]
 
     def loss_graph(x_std, lengths, perms, params, dropout_mask):
-        return batch_loss_graph(model, x_std, lengths, perms, *params, dropout_mask)
+        essence = model.extractor_graph(x_std, params[0], dropout_mask)
+        return batch_loss_graph(essence, lengths, perms, params[1])
 
     history, (model.extractor_params, model.scorer_params) = _fit(
         loss_graph,
@@ -260,23 +256,23 @@ def train(dataset, config: TrainConfig) -> tuple[EssenceModel, list[EpochStats]]
 def probe_feature_mi(dataset, feature_values: dict, config: TrainConfig) -> float:
     """Validation MI bound (bits) of a fixed per-track scalar feature.
 
-    Trains only the scorer on z-scored sequences of the given values; the
-    extractor is not involved.  Raises on albums with missing values.
+    Trains only the scorer on the given values, which the loss z-scores per
+    album; the extractor is not involved.  Raises on albums with missing values.
     """
     train_albums, val_albums = _usable_splits(dataset)
 
-    def zscored(albums):
+    def columns(albums):
         series = album_values(albums, feature_values, what="feature value")
-        return [(album_id, zscore_columns(values[:, None])) for album_id, values in series]
+        return [(album_id, values[:, None]) for album_id, values in series]
 
-    train_vals, val_vals = zscored(train_albums), zscored(val_albums)
+    train_vals, val_vals = columns(train_albums), columns(val_albums)
     init_rng, batch_rng, val_rng = _rngs(config.seed)
     shapes = ScorerArch(essence_dim=1, hidden=config.scorer_hidden).param_shapes()
     params = init_params(shapes, init_rng, out_scale=0.01)
     scorer = Adam(params, config.learning_rate, config.weight_decay_scorer)
 
     def loss_graph(values, lengths, perms, params, dropout_mask):
-        return ordering_losses(ad.as_tensor(values), lengths, perms, params[0])
+        return batch_loss_graph(ad.as_tensor(values), lengths, perms, params[0])
 
     history, _ = _fit(loss_graph, [scorer], train_vals, val_vals, config, batch_rng, val_rng)
     return mi_lower_bound(min(h.val_loss for h in history), config.n_sequences)

@@ -122,6 +122,7 @@ def _load_table(path, make_track) -> Dataset:
     each track with ``make_track(row)``; a ValueError it raises is reported
     with the row's physical line."""
     by_album: dict[str, list[tuple[int, Track]]] = {}
+    album_of: dict[str, str] = {}
     split_votes: dict[str, set[str]] = {}
     dropped = 0
     rows = read_table(path)
@@ -149,6 +150,10 @@ def _load_table(path, make_track) -> Dataset:
             raise IngestError(
                 f"{path}:{line_no}: duplicate track_position {position} "
                 f"in album {album_id!r}"
+            )
+        if album_of.setdefault(row[1], album_id) != album_id:
+            raise IngestError(
+                f"{path}:{line_no}: track_id {row[1]!r} is already in album {album_of[row[1]]!r}"
             )
         try:
             track = make_track(row)

@@ -6,9 +6,14 @@ statistical-protocol tests; the converged narrow-extractor pair backs the
 dimensionality sweep and the probe self-consistency check.
 """
 
+import os
 import time
 
-import numpy as np
+# One BLAS thread: a second OpenBLAS thread doubles the suite's CPU time and
+# saves no wall time.  Set before numpy loads OpenBLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from albumarc.essence import TrainConfig, train

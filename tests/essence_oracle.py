@@ -13,6 +13,8 @@ onto the autodiff graph and the loops were merged into one:
 - :func:`mi_on_albums` is the MI bound on freshly drawn contrastive sets;
 - :func:`contrastive_permutations` draws negatives one
   ``rng.permutation`` at a time, redrawing accidental identities;
+- :func:`zscore_columns` is the numpy per-album z-score the probe applied to
+  its feature values before the loss z-scored every album in the graph;
 - :class:`Adam` is the optimizer over one flat parameter vector per net,
   which the package stepped through ``flatten_params``/``unflatten_params``
   before its Adam kept its moments per parameter array;
@@ -41,9 +43,17 @@ from albumarc.essence.model import (
     init_params,
     unflatten_params,
 )
-from albumarc.essence.objective import mi_lower_bound, zscore_columns
+from albumarc.essence.objective import mi_lower_bound
 from albumarc.essence.training import EpochStats, TrainConfig, input_stats
 from conftest import info_nce_loss
+
+
+def zscore_columns(values: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+    """Z-score each column over rows (population std, with a tiny floor)."""
+    v = np.asarray(values, dtype=np.float64)
+    mean = v.mean(axis=0, keepdims=True)
+    std = np.sqrt(((v - mean) ** 2).mean(axis=0, keepdims=True) + eps)
+    return (v - mean) / std
 
 
 class Adam:

@@ -540,6 +540,47 @@ class TestErrors:
         assert result.returncode == 2, result.stderr
         assert f"scalars.csv:3: non-finite value 'nan' for latent of track {row[0]!r}" in result.stderr
 
+    def test_sparse_scalar_feature(self, workspace, tmp_path):
+        # A feature that covers no train (or validation) album long enough
+        # to permute is a data error (exit 2) naming the file and feature.
+        _, out, _, _, _ = workspace
+        (tmp_path / "scalars.csv").write_text("track_id,tempo\nsynth-00000-t01,0.5\n")
+        config = tmp_path / "probe_config.json"
+        paths = {"dataset": str(out / "dataset.csv"), "scalars": "scalars.csv"}
+        config.write_text(json.dumps({"version": 1, "paths": paths}))
+        result = run("--config", str(config), "--out", str(tmp_path), "probe")
+        assert result.returncode == 2, result.stderr
+        assert "scalars.csv: feature 'tempo': train split has no usable albums" in result.stderr
+
+    @pytest.mark.parametrize(
+        "report",
+        ["[]", '{"albums": 5}', '{"albums": [{"x": 1}]}',
+         '{"albums": [{"learned_score": "a", "random_score": 0.5, "shuffled_score": 0.5}]}'],
+    )
+    def test_bad_eval_report(self, workspace, tmp_path, report):
+        # plot-data reads paths.eval_report before it writes anything.
+        _, out, _, _, _ = workspace
+        (tmp_path / "eval_report.json").write_text(report)
+        config = tmp_path / "plot_config.json"
+        paths = {"templates": str(out / "templates.json"), "eval_report": "eval_report.json"}
+        config.write_text(json.dumps({"version": 1, "paths": paths}))
+        result = run("--config", str(config), "--out", str(tmp_path / "o"), "plot-data")
+        assert result.returncode == 2, result.stderr
+        assert "eval_report.json: bad eval report file: " in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_eval_report_without_albums(self, workspace, tmp_path):
+        # A report with no albums has no score bars to write.
+        _, out, _, _, _ = workspace
+        (tmp_path / "eval_report.json").write_text('{"albums": []}')
+        config = tmp_path / "plot_config.json"
+        paths = {"templates": str(out / "templates.json"), "eval_report": "eval_report.json"}
+        config.write_text(json.dumps({"version": 1, "paths": paths}))
+        result = run_ok("--config", str(config), "--out", str(tmp_path / "o"), "plot-data")
+        assert "scores.tsv" not in result.stdout
+        assert not (tmp_path / "o" / "scores.tsv").exists()
+
     def test_repeated_train_dims(self, workspace, tmp_path):
         # Repeated dimensions would train one model twice and list it twice
         # in mi_by_dim.csv; they are a config error (exit 2) naming the key.

@@ -26,8 +26,6 @@ from albumarc.essence.objective import (
     batch_loss_graph,
     contrastive_permutations,
     mi_lower_bound,
-    sample_negative_permutations,
-    zscore_columns,
 )
 from albumarc.essence.training import Adam, input_stats, probe_feature_mi
 from albumarc.ingest import SynthConfig, synth_generate
@@ -121,22 +119,44 @@ class TestMIBound:
             mi_lower_bound(0.0, 1)
 
 
+def stacked_losses(values, lengths, perms, model):
+    """``batch_loss_graph``'s losses of stacked raw values, one set per album."""
+    losses = batch_loss_graph(ad.as_tensor(values), lengths, [p[None] for p in perms], model.scorer_params)
+    return losses.data
+
+
 class TestZscoreAndPermutations:
     def test_zscore_columns(self):
+        # The loss z-scores each album's columns on its own: a per-album
+        # shift and positive scale of each column leaves every loss as it is,
+        # up to the variance floor's 1e-12 / variance.
         rng = np.random.default_rng(3)
-        v = rng.standard_normal((40, 3)) * 5 + 2
-        z = zscore_columns(v)
-        np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(z.std(axis=0), 1.0, atol=1e-6)
+        model = tiny_model(rng, d=3)
+        model.scorer_params = init_params(model.scorer_arch.param_shapes(), rng)
+        lengths = [40, 7, 3]
+        perms = [contrastive_permutations(n, 8, rng) for n in lengths]
+        v = rng.standard_normal((sum(lengths), 3))
+        scale = np.repeat(rng.uniform(0.5, 5.0, (3, 3)), lengths, axis=0)
+        shift = np.repeat(rng.uniform(-4.0, 4.0, (3, 3)), lengths, axis=0)
+        np.testing.assert_allclose(
+            stacked_losses(v * scale + shift, lengths, perms, model),
+            stacked_losses(v, lengths, perms, model),
+            rtol=0,
+            atol=1e-9,
+        )
 
     def test_zscore_constant_column_stays_finite(self):
-        z = zscore_columns(np.full((4, 1), 3.0))
-        assert np.all(np.isfinite(z))
-        np.testing.assert_allclose(z, 0.0, atol=1e-6)
+        # A constant album z-scores to zeros: every candidate scores alike,
+        # so its loss is ln N.
+        model = tiny_model(np.random.default_rng(3))
+        perms = [contrastive_permutations(4, 8, np.random.default_rng(4))]
+        losses = stacked_losses(np.full((4, 1), 3.0), [4], perms, model)
+        assert np.all(np.isfinite(losses))
+        np.testing.assert_allclose(losses, np.log(8), atol=1e-6)
 
     def test_negatives_are_never_identity(self):
         rng = np.random.default_rng(4)
-        perms = sample_negative_permutations(3, 200, rng)
+        perms = contrastive_permutations(3, 201, rng)[1:]
         identity = np.arange(3)
         assert not any(np.array_equal(p, identity) for p in perms)
 
@@ -155,8 +175,8 @@ class TestZscoreAndPermutations:
         assert not np.array_equal(perms[1], np.arange(4))
 
     def test_too_short_to_permute(self):
-        with pytest.raises(ValueError):
-            sample_negative_permutations(1, 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="length < 2"):
+            contrastive_permutations(1, 2, np.random.default_rng(0))
 
 
 class TestContrastiveSet:
@@ -173,7 +193,7 @@ class TestContrastiveSet:
         loss = album_loss_graph(
             model, model.standardize(flat), perms, model.extractor_params, model.scorer_params
         )
-        normalized = zscore_columns(model.extract_matrix(flat))
+        normalized = oracle.zscore_columns(model.extract_matrix(flat))
         scores = np.array([score_one(model, normalized[p]) for p in perms])
         assert float(loss.data) == pytest.approx(info_nce_loss(scores, 0), abs=1e-12)
         np.testing.assert_array_equal(normalized[perms[0]], normalized)
@@ -182,7 +202,7 @@ class TestContrastiveSet:
         rng = np.random.default_rng(8)
         album = make_album("a", 4, rng)
         flat = np.stack([t.flat for t in album.tracks])
-        sequences = zscore_columns(tiny_model(in_dim=525).extract_matrix(flat))[
+        sequences = oracle.zscore_columns(tiny_model(in_dim=525).extract_matrix(flat))[
             contrastive_permutations(4, 6, rng)
         ]
         base = np.sort(sequences[0], axis=0)
@@ -613,7 +633,7 @@ class TestAgainstOracle:
                 mine = np.random.default_rng([length, count])
                 ref = np.random.default_rng([length, count])
                 np.testing.assert_array_equal(
-                    sample_negative_permutations(length, count, mine),
+                    contrastive_permutations(length, count + 1, mine)[1:],
                     oracle.sample_negative_permutations(length, count, ref),
                 )
                 assert mine.random() == ref.random()
@@ -639,11 +659,9 @@ class TestAgainstOracle:
                     for params in (model.extractor_params, model.scorer_params)
                 ]
 
-            batch_params = tensors()
-            losses = batch_loss_graph(
-                model, np.concatenate(xs), lengths, [p[None] for p in perms], *batch_params,
-                np.concatenate(masks),
-            )
+            batch_params = ext, sco = tensors()
+            essence = model.extractor_graph(np.concatenate(xs), ext, np.concatenate(masks))
+            losses = batch_loss_graph(essence, lengths, [p[None] for p in perms], sco)
             ad.backward(ad.segment_sum(losses, [len(lengths)]))
             ref_losses, ref_grads = [], None
             for x, perm, mask in zip(xs, perms, masks):
@@ -656,6 +674,34 @@ class TestAgainstOracle:
             worst_loss = max(worst_loss, np.abs(losses.data - ref_losses).max())
             for mine, ref in zip([p[k].grad for p in batch_params for k in p], ref_grads):
                 worst_grad = max(worst_grad, np.abs(mine - ref).max() / len(lengths))
+        assert worst_loss <= 1e-12
+        assert worst_grad <= 1e-12
+
+    def test_batched_feature_loss_matches_zscored_albums(self):
+        # The probe's loss on a raw stacked feature z-scores in the graph:
+        # per-album losses and the mean scorer gradient agree to 1e-12 with
+        # the oracle's numpy z-score fed to its per-album scorer graph.
+        rng = np.random.default_rng(43)
+        worst_loss = worst_grad = 0.0
+        for _ in range(50):
+            model = tiny_model(rng, scorer_hidden=int(rng.integers(2, 16)))
+            model.scorer_params = init_params(model.scorer_arch.param_shapes(), rng)
+            lengths = [int(n) for n in rng.integers(3, 21, size=int(rng.integers(1, 17)))]
+            perms = [contrastive_permutations(n, 8, rng) for n in lengths]
+            values = 3.0 * rng.standard_normal((sum(lengths), 1)) + rng.uniform(-2.0, 2.0)
+            sco = {k: ad.Tensor(v) for k, v in model.scorer_params.items()}
+            losses = batch_loss_graph(ad.as_tensor(values), lengths, [p[None] for p in perms], sco)
+            ad.backward(ad.segment_sum(losses, [len(lengths)]))
+            ref_losses, ref_grads = [], {k: 0.0 for k in sco}
+            for album, perm in zip(np.split(values, np.cumsum(lengths)[:-1]), perms):
+                ref_sco = {k: ad.Tensor(v) for k, v in model.scorer_params.items()}
+                loss = oracle.scorer_loss_graph(oracle.zscore_columns(album), perm, ref_sco)
+                ad.backward(loss)
+                ref_losses.append(float(loss.data))
+                ref_grads = {k: ref_grads[k] + ref_sco[k].grad for k in sco}
+            worst_loss = max(worst_loss, np.abs(losses.data - ref_losses).max())
+            for k in sco:
+                worst_grad = max(worst_grad, np.abs(sco[k].grad - ref_grads[k]).max() / len(lengths))
         assert worst_loss <= 1e-12
         assert worst_grad <= 1e-12
 

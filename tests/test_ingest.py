@@ -266,6 +266,17 @@ class TestLoadErrors:
         _write_rows(path, rows)
         _raises_from_both_loaders(path, r"album 'a1': duplicate track ids")
 
+    def test_track_id_shared_by_two_albums(self, tmp_path):
+        # Essence is keyed by track id, so two albums sharing one would read
+        # each other's essence.
+        rows = [
+            _feature_row("a1", "t1", 1, "train"),
+            _feature_row("a2", "t1", 1, "train"),
+        ]
+        path = tmp_path / "e.csv"
+        _write_rows(path, rows)
+        _raises_from_both_loaders(path, r":3: track_id 't1' is already in album 'a1'")
+
 
 class TestAlbumTable:
     @staticmethod
