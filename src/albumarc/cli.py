@@ -363,7 +363,10 @@ def train_cmd(app: App):
     for config in configs:
         d = config.essence_dim
         suffix = "" if dims is None else f"_d{d}"
-        model, history = train(dataset, config)
+        try:
+            model, history = train(dataset, config)
+        except IngestError as exc:  # a split with no album to train on
+            raise IngestError(f"{app.path('dataset')}: {exc}") from None
         best = min(history, key=lambda h: h.val_loss)
         doc = {
             **model.to_dict(),
@@ -468,16 +471,19 @@ def fit(app: App, values_arg, template_index):
 @click.pass_obj
 def reorder(app: App, template_arg):
     """Reorder an album onto one template curve, or onto each of them."""
-    template_set = _load_templates(app)
+    selector = template_arg
     if template_arg is None:
-        template_arg = str(app.section("reorder").get("template", "all"))
-    if template_arg == "all":
-        selected = list(range(template_set.n_templates))
-    else:
+        selector = app.section("reorder").get("template", "all")
+        if selector != "all":
+            with _config_section("reorder"):
+                check_type("template", selector, "int")
+    elif template_arg != "all":
         try:
-            selected = [int(template_arg)]
+            selector = int(template_arg)
         except ValueError:
             raise ConfigError(f'bad template selector {template_arg!r}; use an index or "all"') from None
+    template_set = _load_templates(app)
+    selected = list(range(template_set.n_templates)) if selector == "all" else [selector]
     fits = _fit_docs(app, template_set, selected)
     write_json(app.out / "orderings.json", {"orderings": fits}, app.provenance(app.effective_seed()))
     for doc in fits:

@@ -194,7 +194,7 @@ def album_values(albums, values_by_track: dict, what: str = "essence") -> list[t
     return series
 
 
-_KINDS = {"bool": bool, "int": numbers.Integral, "float": numbers.Real, "str": str}
+_KINDS = {"bool": bool, "int": numbers.Integral, "float": numbers.Real, "str": str, "list": list}
 
 
 def _is_kind(value, kind: str) -> bool:
@@ -206,7 +206,7 @@ def _is_kind(value, kind: str) -> bool:
 
 def check_type(name: str, value, kind: str) -> None:
     """Raise TypeError unless ``value`` is a ``kind``: "bool", "int",
-    "float" (ints included), "str" or "tuple[int, int]"."""
+    "float" (ints included), "str", "list" or "tuple[int, int]"."""
     if not _is_kind(value, kind):
         raise TypeError(f"{name} must be {kind}, got {value!r}")
 

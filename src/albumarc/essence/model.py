@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import N_FEATURES, N_STATS
+from ..core import N_FEATURES, N_STATS, check_type
 from . import autodiff as ad
 
 
@@ -234,8 +234,14 @@ class EssenceModel:
     def from_dict(cls, doc: dict) -> "EssenceModel":
         ea = doc["extractor_arch"]
         sa = doc["scorer_arch"]
-        ext = ExtractorArch(in_dim=int(ea["in_dim"]), hidden=int(ea["hidden"]), out_dim=int(ea["out_dim"]))
-        sco = ScorerArch(essence_dim=int(sa["essence_dim"]), hidden=int(sa["hidden"]))
+        for arch, name, keys in (
+            (ea, "extractor_arch", ("in_dim", "hidden", "out_dim")),
+            (sa, "scorer_arch", ("essence_dim", "hidden")),
+        ):
+            for key in keys:
+                check_type(f"{name}.{key}", arch[key], "int")
+        ext = ExtractorArch(in_dim=ea["in_dim"], hidden=ea["hidden"], out_dim=ea["out_dim"])
+        sco = ScorerArch(essence_dim=sa["essence_dim"], hidden=sa["hidden"])
         mean, std = (np.array(doc[key], dtype=np.float64) for key in ("input_mean", "input_std"))
         for key, stats in (("input_mean", mean), ("input_std", std)):
             if stats.shape != (ext.in_dim,):

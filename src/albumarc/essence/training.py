@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import Album, album_values, check_field_types
-from ..errors import TrainingDiverged
+from ..errors import IngestError, TrainingDiverged
 from . import autodiff as ad
 from .model import EssenceModel, ScorerArch, init_params
 from .objective import batch_loss_graph, contrastive_permutations, mi_lower_bound
@@ -113,12 +113,13 @@ def input_stats(albums) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _usable_splits(dataset) -> tuple[list[Album], list[Album]]:
-    """Train and validation albums long enough to permute (3+ tracks)."""
+    """Train and validation albums long enough to permute (3+ tracks); a
+    split without one is a data error."""
     splits = []
     for split in ("train", "validation"):
         albums = [a for a in dataset.subset(split).albums if len(a) >= 3]
         if not albums:
-            raise ValueError(f"{split} split has no usable albums")
+            raise IngestError(f"{split} split has no usable albums")
         splits.append(albums)
     return splits[0], splits[1]
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import stats
 
-from .core import Ordering, album_values, normalize_minmax
+from .core import Ordering, album_values, check_type, normalize_minmax
 from .fitcurve import _fit_rows, sample_template
 from .templates import TemplateSet
 
@@ -262,14 +262,18 @@ def evaluate_templates(
 
 def plot_rows(report: dict) -> list[tuple[str, float, float]]:
     """(condition, mean, standard error) rows for bar-chart export, from a
-    report document as :meth:`EvalReport.to_dict` writes it."""
+    report document as :meth:`EvalReport.to_dict` writes it; each score must
+    be a number."""
     rows = []
     for name, key in (
         ("learned", "learned_score"),
         ("random_orderings", "random_score"),
         ("shuffled_essence", "shuffled_score"),
     ):
-        scores = np.array([album[key] for album in report["albums"]], dtype=np.float64)
+        scores = [album[key] for album in report["albums"]]
+        for score in scores:
+            check_type(key, score, "float")
+        scores = np.array(scores, dtype=np.float64)
         stderr = float(scores.std(ddof=1) / np.sqrt(scores.size)) if scores.size > 1 else 0.0
         rows.append((name, float(scores.mean()), stderr))
     return rows

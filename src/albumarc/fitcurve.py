@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ordering, minmax_series, normalize_minmax, relative_positions
+from .core import Ordering, minmax_series, relative_positions
 from .spline import TemplateCurve, eval_curve
 
 
@@ -60,17 +60,10 @@ class FitResult:
 
 
 def sample_template(curve: TemplateCurve, n: int) -> np.ndarray:
-    """Sample the curve at n uniform relative positions.
-
-    If any sampled value overshoots [0, 1] (cubic overshoot between knots),
-    the samples are min-max renormalized back into range.
-    """
-    if n < 2:
-        raise ValueError(f"need at least 2 sample points, got {n}")
-    z = np.asarray(eval_curve(curve, relative_positions(n)), dtype=np.float64)
-    if z.min() < 0.0 or z.max() > 1.0:
-        z = normalize_minmax(z)
-    return z
+    """The curve's values at the n relative positions i/(n-1): the fit's
+    targets, as the GA scores them.  They leave [0, 1] where the spline
+    overshoots between knots."""
+    return eval_curve(curve, relative_positions(n))
 
 
 def _interval_rows(ys: np.ndarray, zs: np.ndarray, bottlenecks: np.ndarray):

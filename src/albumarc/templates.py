@@ -15,8 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EssenceSeries, check_field_types, minmax_series, normalize_minmax, relative_positions
-from .spline import DEFAULT_KNOTS, TemplateCurve, build_spline, sampling_matrix
+from .core import (
+    EssenceSeries,
+    check_field_types,
+    check_type,
+    minmax_series,
+    normalize_minmax,
+    relative_positions,
+)
+from .spline import DEFAULT_KNOTS, TemplateCurve, build_spline, check_knots, sampling_matrix
 
 
 @dataclass(frozen=True)
@@ -39,6 +46,7 @@ class TemplateSet:
             )
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(templates))):
             raise ValueError("non-finite template data")
+        check_knots(xs)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "templates", templates)
 
@@ -64,11 +72,32 @@ class TemplateSet:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TemplateSet":
+        """The set a :meth:`to_dict` document holds: ``xs`` a list of JSON
+        numbers, ``templates`` a list of such rows, ``k``, if given, the
+        number of rows, and ``seed`` and ``final_cost``, if given, numbers."""
+        xs, rows = doc["xs"], doc["templates"]
+        check_type("xs", xs, "list")
+        check_type("templates", rows, "list")
+        for i, x in enumerate(xs):
+            check_type(f"xs[{i}]", x, "float")
+        for i, row in enumerate(rows):
+            check_type(f"templates[{i}]", row, "list")
+            for j, value in enumerate(row):
+                check_type(f"templates[{i}][{j}]", value, "float")
+        k = doc.get("k", len(rows))
+        check_type("k", k, "int")
+        if k != len(rows):
+            raise ValueError(f"k={k} but {len(rows)} template rows")
+        seed, final_cost = doc.get("seed"), doc.get("final_cost")
+        if seed is not None:
+            check_type("seed", seed, "int")
+        if final_cost is not None:
+            check_type("final_cost", final_cost, "float")
         return cls(
-            xs=np.array(doc["xs"], dtype=np.float64),
-            templates=np.array(doc["templates"], dtype=np.float64),
-            seed=doc.get("seed"),
-            final_cost=doc.get("final_cost"),
+            xs=np.array(xs, dtype=np.float64),
+            templates=np.array(rows, dtype=np.float64),
+            seed=seed,
+            final_cost=final_cost,
         )
 
 

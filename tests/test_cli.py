@@ -555,7 +555,10 @@ class TestErrors:
     @pytest.mark.parametrize(
         "report",
         ["[]", '{"albums": 5}', '{"albums": [{"x": 1}]}',
-         '{"albums": [{"learned_score": "a", "random_score": 0.5, "shuffled_score": 0.5}]}'],
+         '{"albums": [{"learned_score": "a", "random_score": 0.5, "shuffled_score": 0.5}]}',
+         '{"albums": [{"learned_score": "0.5", "random_score": 0.5, "shuffled_score": 0.5}]}',
+         '{"albums": [{"learned_score": 0.5, "random_score": null, "shuffled_score": 0.5}]}',
+         '{"albums": [{"learned_score": 0.5, "random_score": 0.5, "shuffled_score": true}]}'],
     )
     def test_bad_eval_report(self, workspace, tmp_path, report):
         # plot-data reads paths.eval_report before it writes anything.
@@ -568,6 +571,27 @@ class TestErrors:
         assert result.returncode == 2, result.stderr
         assert "eval_report.json: bad eval report file: " in result.stderr
         assert "Traceback" not in result.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({"xs": [0, 0.7, 0.5, 1], "templates": [[0, 1, 0.5, 0]], "k": 1}, "knots must be strictly increasing"),
+            ({"xs": [0, 0.5, 1], "templates": [["0", "1", "0.5"]], "k": 1}, "templates[0][0] must be float, got '0'"),
+            ({"k": 3}, "k=3 but 2 template rows"),
+        ],
+    )
+    def test_bad_templates_file(self, workspace, tmp_path, patch, message):
+        # A templates file is read as numbers on a valid knot grid, with k
+        # rows, before anything is written.
+        _, out, _, _, _ = workspace
+        doc = {**json.loads((out / "templates.json").read_text()), **patch}
+        (tmp_path / "templates.json").write_text(json.dumps(doc))
+        config = tmp_path / "plot_config.json"
+        config.write_text(json.dumps({"version": 1, "paths": {"templates": "templates.json"}}))
+        result = run("--config", str(config), "--out", str(tmp_path / "o"), "plot-data")
+        assert result.returncode == 2, result.stderr
+        assert f"templates.json: bad templates file: {message}" in result.stderr
         assert not (tmp_path / "o").exists()
 
     def test_eval_report_without_albums(self, workspace, tmp_path):
@@ -620,6 +644,10 @@ class TestErrors:
             (lambda doc: doc["input_std"].__setitem__(7, 0.0), "input standardization must be finite"),
             (lambda doc: doc["input_std"].__setitem__(7, float("inf")), "input standardization must be finite"),
             (lambda doc: doc["input_mean"].__setitem__(7, float("nan")), "input standardization must be finite"),
+            (lambda doc: doc["extractor_arch"].update(hidden="128"), "extractor_arch.hidden must be int, got '128'"),
+            (lambda doc: doc["extractor_arch"].update(hidden=32.9), "extractor_arch.hidden must be int, got 32.9"),
+            (lambda doc: doc["scorer_arch"].update(hidden=True), "scorer_arch.hidden must be int, got True"),
+            (lambda doc: doc["scorer_arch"].update(essence_dim=None), "scorer_arch.essence_dim must be int, got None"),
         ],
     )
     def test_bad_model_file(self, workspace, tmp_path, damage, message):
@@ -642,6 +670,43 @@ class TestErrors:
             assert result.returncode == 2, (command, result.stderr)
             assert f"model.json: bad model file: {message}" in result.stderr
             assert "Traceback" not in result.stderr
+            assert not (tmp_path / "o").exists()
+
+    def test_train_split_without_albums(self, workspace, tmp_path):
+        # A dataset whose usable albums all fall in one split is a data
+        # error (exit 2) naming the dataset file.
+        _, out, config, _, _ = workspace
+        lines = (out / "dataset.csv").read_text().splitlines(keepends=True)
+        album = [line for line in lines if line.startswith("synth-00000,")]
+        (tmp_path / "one.csv").write_text("".join(lines[:2] + album))
+        doc = json.loads(config.read_text())
+        doc["paths"] = {"dataset": str(tmp_path / "one.csv")}
+        bad = tmp_path / "train_config.json"
+        bad.write_text(json.dumps(doc))
+        result = run("--config", str(bad), "--out", str(tmp_path / "o"), "train")
+        assert result.returncode == 2, result.stderr
+        assert "one.csv: " in result.stderr and "split has no usable albums" in result.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_reorder_template_from_config(self, workspace, tmp_path):
+        # reorder.template is "all" or a JSON integer; anything else is a
+        # config error before any file is read.  The --template flag parses
+        # its text.
+        _, out, _, _, _ = workspace
+        absent = {"templates": str(tmp_path / "absent.json"), "essence": str(tmp_path / "absent.csv")}
+        for template in ("1", True, 1.0, "first", None):
+            bad = tmp_path / "reorder.json"
+            bad.write_text(json.dumps({"version": 1, "paths": absent, "reorder": {"template": template}}))
+            result = run("--config", str(bad), "--out", str(tmp_path / "o"), "reorder")
+            assert result.returncode == 2, (template, result.stderr)
+            assert "config section 'reorder': template must be int" in result.stderr
+        paths = {"templates": str(out / "templates.json"), "essence": str(out / "album.csv")}
+        for template, args in ((1, ()), ("all", ("--template", "1"))):
+            good = tmp_path / "album_config.json"
+            good.write_text(json.dumps({"version": 1, "paths": paths, "reorder": {"template": template}}))
+            run_ok("--config", str(good), "--out", str(tmp_path / "o"), "reorder", *args)
+            fits = json.loads((tmp_path / "o" / "orderings.json").read_text())["orderings"]
+            assert [f["template_index"] for f in fits] == [1]
 
     def test_missing_essence_track(self, workspace, tmp_path):
         # A track absent from paths.essence is a data error (exit 2) naming

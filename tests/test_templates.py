@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from albumarc.core import EssenceSeries, minmax_series, normalize_minmax, relative_positions
+from albumarc.fitcurve import sample_template
+from albumarc.ingest import SynthConfig, synth_generate
 from albumarc.spline import DEFAULT_KNOTS, build_spline
 from albumarc.templates import (
     GAConfig,
@@ -58,6 +60,31 @@ class TestTemplateSet:
             TemplateSet(xs=np.array([0.5]), templates=np.zeros((1, 1)))
         with pytest.raises(ValueError, match="non-finite"):
             TemplateSet(xs=KNOTS, templates=np.full((1, 7), np.nan))
+
+    def test_knot_grid_checked(self):
+        with pytest.raises(ValueError, match="knots must be strictly increasing"):
+            TemplateSet(xs=np.array([0.0, 0.7, 0.5, 1.0]), templates=np.zeros((1, 4)))
+        with pytest.raises(ValueError, match="span exactly"):
+            TemplateSet(xs=np.array([0.0, 0.5]), templates=np.zeros((1, 2)))
+
+    @pytest.mark.parametrize(
+        "patch, match",
+        [
+            ({"xs": [0, "0.5", 1]}, r"xs\[1\] must be float"),
+            ({"xs": "0 0.5 1"}, "xs must be list"),
+            ({"templates": [["0", "1", "0.5"]]}, r"templates\[0\]\[0\] must be float"),
+            ({"templates": [[0, None, 0.5]]}, r"templates\[0\]\[1\] must be float"),
+            ({"templates": [0, 1, 0.5]}, r"templates\[0\] must be list"),
+            ({"k": 3}, "k=3 but 1 template rows"),
+            ({"k": True}, "k must be int"),
+            ({"seed": "7"}, "seed must be int"),
+            ({"final_cost": [1.0]}, "final_cost must be float"),
+        ],
+    )
+    def test_from_dict_reads_numbers_only(self, patch, match):
+        doc = {"xs": [0.0, 0.5, 1.0], "templates": [[0.0, 1.0, 0.5]], "k": 1, **patch}
+        with pytest.raises((TypeError, ValueError), match=match):
+            TemplateSet.from_dict(doc)
 
     def test_curves_renormalize_rows(self):
         ts = TemplateSet(xs=KNOTS, templates=np.array([[2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0]]))
@@ -274,6 +301,23 @@ class TestEvolve:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="no albums"):
             evolve_templates([], GAConfig())
+
+
+class TestFitTargets:
+    def test_final_cost_is_the_fits_cost(self):
+        # On noisy valleys the evolved splines overshoot [0, 1] at some album
+        # lengths; the GA's cost still equals the cost against the targets
+        # the fit uses.
+        dataset = synth_generate(SynthConfig(n_albums=100, latent_shape="valley", noise_sigma=0.05, seed=1))
+        essence = dataset.scalar_features["latent_noisy"]
+        albums = [normalize_minmax([essence[t.track_id] for t in album.tracks]) for album in dataset.albums]
+        ts, _ = evolve_templates(albums, GAConfig(n_templates=4, generations=200, seed=1))
+        curves = ts.curves()
+        lengths = sorted({len(v) for v in albums})
+        splines = [curve(relative_positions(n)) for curve in curves for n in lengths]
+        assert any(z.min() < 0.0 or z.max() > 1.0 for z in splines)
+        cost = sum(min(float(np.mean((sample_template(c, len(v)) - v) ** 2)) for c in curves) for v in albums)
+        assert abs(cost - ts.final_cost) <= 1e-9
 
 
 class TestCurveConsistency:
