@@ -622,7 +622,7 @@ def main():
     except click.ClickException as exc:
         exc.show()
         sys.exit(exc.exit_code)
-    except (ConfigError, IngestError, FileNotFoundError, NotADirectoryError, PermissionError) as exc:
+    except (ConfigError, IngestError, FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     except (AlbumArcError, ValueError, KeyError) as exc:

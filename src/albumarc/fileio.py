@@ -17,7 +17,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .errors import IngestError
+from .errors import ConfigError, IngestError
 
 
 def canonical_json(doc) -> str:
@@ -73,31 +73,58 @@ def write_table(path, render, provenance: dict | None = None) -> None:
 
 def read_json(path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def read_table(path):
     """Yield ``(line number, cells)`` for the header and then each row of a
     CSV table, skipping the leading ``#`` comment lines.
 
-    Line numbers count the file's physical lines.  A file with no header and
-    a row whose cell count differs from the header's raise IngestError.
+    Line numbers count the file's physical lines; a record whose quoted cell
+    spans lines is numbered by its last line.  A line without ``"`` is split
+    on commas, which gives the cells ``csv`` would; a line holding ``"`` and
+    the lines its quoted cells continue onto are parsed by ``csv``.  A file
+    with no header, text that is not UTF-8, a ``csv`` error and a row whose
+    cell count differs from the header's raise IngestError.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        comments = 0
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            comments += 1
+        try:
+            comments = 0
+            for line in fh:
+                if not line.startswith("#"):
+                    break
+                comments += 1
+            else:
+                raise IngestError(f"{path}: empty file")
+            records = _records(path, itertools.chain([line], fh), comments)
+            line_no, header = next(records)
+            yield line_no, header
+            for line_no, row in records:
+                if len(row) != len(header):
+                    raise IngestError(
+                        f"{path}:{line_no}: expected {len(header)} columns, got {len(row)}"
+                    )
+                yield line_no, row
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _records(path, lines, line_no):
+    """Yield ``(line number, cells)`` per CSV record of ``lines``, the
+    physical lines after the first ``line_no``."""
+    for line in lines:
+        if '"' in line:
+            reader = csv.reader(itertools.chain([line], lines))
+            try:
+                row = next(reader)
+            except csv.Error as exc:
+                raise IngestError(f"{path}:{line_no + reader.line_num}: {exc}") from None
+            line_no += reader.line_num
         else:
-            raise IngestError(f"{path}: empty file")
-        reader = csv.reader(itertools.chain([line], fh))
-        header = next(reader)
-        yield comments + reader.line_num, header
-        for row in reader:
-            line_no = comments + reader.line_num
-            if len(row) != len(header):
-                raise IngestError(
-                    f"{path}:{line_no}: expected {len(header)} columns, got {len(row)}"
-                )
-            yield line_no, row
+            line_no += 1
+            line = line.rstrip("\r\n")
+            row = line.split(",") if line else []
+        yield line_no, row

@@ -122,6 +122,7 @@ def _load_table(path, make_track) -> Dataset:
     each track with ``make_track(row)``; a ValueError it raises is reported
     with the row's physical line."""
     by_album: dict[str, list[tuple[int, Track]]] = {}
+    positions: dict[str, set[int]] = {}
     album_of: dict[str, str] = {}
     split_votes: dict[str, set[str]] = {}
     dropped = 0
@@ -145,12 +146,13 @@ def _load_table(path, make_track) -> Dataset:
             ) from None
         if split and split not in SPLITS:
             raise IngestError(f"{path}:{line_no}: unknown split {split!r}")
-        entries = by_album.setdefault(album_id, [])
-        if any(p == position for p, _ in entries):
+        seen = positions.setdefault(album_id, set())
+        if position in seen:
             raise IngestError(
                 f"{path}:{line_no}: duplicate track_position {position} "
                 f"in album {album_id!r}"
             )
+        seen.add(position)
         if album_of.setdefault(row[1], album_id) != album_id:
             raise IngestError(
                 f"{path}:{line_no}: track_id {row[1]!r} is already in album {album_of[row[1]]!r}"
@@ -159,7 +161,7 @@ def _load_table(path, make_track) -> Dataset:
             track = make_track(row)
         except ValueError as exc:
             raise IngestError(f"{path}:{line_no}: {exc}") from None
-        entries.append((position, track))
+        by_album.setdefault(album_id, []).append((position, track))
         split_votes.setdefault(album_id, set()).add(split)
     if dropped:
         log.info("dropped %d rows with missing album_id", dropped)

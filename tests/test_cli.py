@@ -14,7 +14,7 @@ from albumarc import cli
 from albumarc.core import Album, TrackFeatures
 from albumarc.essence import EssenceModel
 from albumarc.fileio import config_hash
-from albumarc.ingest import SynthConfig, filter_albums, load_feature_table, synth_generate
+from albumarc.ingest import FEATURE_COLUMNS, HEADER, SynthConfig, filter_albums, load_feature_table, synth_generate
 
 from conftest import essence_map
 from table_oracle import write_essence_csv, write_scalar_csv
@@ -403,6 +403,49 @@ class TestErrors:
         result = run("--config", str(config), "train")
         assert result.returncode == 2
         assert "nowhere.csv" in result.stderr
+
+    @pytest.mark.parametrize("key, command", [("config", "synth"), ("dataset", "train"), ("templates", "plot-data")])
+    def test_directory_as_input(self, tmp_path, key, command):
+        # An input path naming a directory is exit 2 with the path, as a
+        # missing file is.
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"version": 1, "paths": {key: "inputs"}}))
+        if key == "config":
+            config = inputs
+        result = run("--config", str(config), "--out", str(tmp_path / "o"), command)
+        assert result.returncode == 2, result.stderr
+        assert f"Is a directory: '{inputs}'" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_config_not_utf8(self, tmp_path):
+        bad = tmp_path / "config.json"
+        bad.write_bytes(b'{"version": 1}\xff')
+        result = run("--config", str(bad), "synth")
+        assert result.returncode == 2, result.stderr
+        assert f"error: {bad}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff" in result.stderr
+
+    @pytest.mark.parametrize(
+        "track, message",
+        [
+            (b"t\xff1", "dataset.csv: not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+            (b'"' + b"t" * 131073 + b'"', "dataset.csv:3: field larger than field limit (131072)"),
+        ],
+        ids=["not-utf8", "quoted-over-csv-limit"],
+    )
+    def test_unreadable_dataset_row(self, tmp_path, track, message):
+        # probe reads dataset.csv first; a row it cannot read is exit 2
+        # naming the file.
+        features = b",0.0" * len(FEATURE_COLUMNS)
+        rows = [",".join(HEADER).encode(), b"a1,t0,1,train" + features, b"a1," + track + b",2,train" + features]
+        (tmp_path / "dataset.csv").write_bytes(b"\n".join(rows) + b"\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"version": 1, "paths": {"dataset": "dataset.csv"}}))
+        result = run("--config", str(config), "--out", str(tmp_path / "o"), "probe")
+        assert result.returncode == 2, result.stderr
+        assert f"error: {tmp_path / message}" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_bad_values_argument(self, workspace):
         ws, out, _, album_config, _ = workspace
