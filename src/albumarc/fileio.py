@@ -88,9 +88,11 @@ def read_table(path):
     on commas, which gives the cells ``csv`` would; a line holding ``"`` and
     the lines its quoted cells continue onto are parsed by ``csv``.  A file
     with no header, text that is not UTF-8, a ``csv`` error and a row whose
-    cell count differs from the header's raise IngestError.
+    cell count differs from the header's raise IngestError.  A leading
+    UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports write, is
+    dropped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             comments = 0
             for line in fh:

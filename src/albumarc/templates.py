@@ -5,12 +5,13 @@ shared knot grid.  Fitness is the summed per-album fitting cost: each album
 (as a min-max normalized essence series) is charged the mean squared gap to
 its best-matching template, with templates min-max renormalized before spline
 construction.  Because natural-spline evaluation at fixed relative positions
-is linear in the control values, the whole population is scored with a few
-matrix products per distinct album length.
+is linear in the control values, the whole population is scored with one
+product over all albums.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,8 @@ from .core import (
     relative_positions,
 )
 from .spline import DEFAULT_KNOTS, TemplateCurve, build_spline, check_knots, sampling_matrix
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -130,36 +133,58 @@ class GAConfig:
             raise ValueError("stagnation_patience must be positive")
 
 
-def _length_groups(values_list: list[np.ndarray], xs: np.ndarray):
-    """Group albums by length and precompute the spline sampling matrix and
-    the albums' squared norms for each length, so population cost reduces to
-    matrix products."""
-    by_len: dict[int, list[np.ndarray]] = {}
-    for v in values_list:
-        by_len.setdefault(v.shape[0], []).append(v)
-    groups = []
-    for length in sorted(by_len):
-        sampler = sampling_matrix(xs, relative_positions(length))
-        album_values = np.stack(by_len[length])
-        groups.append((sampler, album_values, (album_values**2).sum(axis=1), length))
-    return groups
+# Album columns per product in :func:`_population_cost`: bounds its
+# temporaries to (m*k) x _BLOCK floats whatever the corpus size.
+_BLOCK = 2048
 
 
-def _population_cost(population: np.ndarray, groups) -> np.ndarray:
-    """Summed per-album fitting cost for every individual, shape (m,)."""
+def _album_terms(values_list: list[np.ndarray], xs: np.ndarray):
+    """The album side of the population cost, computed once per GA run.
+
+    Album a of length L with values v is scored against the samples S_L t of
+    a normalized template row t through |S_L t - v|^2 = t.(G_L t)
+    - 2 t.(S_L^T v) + v.v with G_L = S_L^T S_L.  Returns the G_L side by
+    side, shape (q, q * #lengths), and per block of albums the columns
+    [-2 S_L^T v, one-hot of L's index, v.v] with the albums' 1/L.
+    """
+    q = xs.size
+    lengths = np.array([v.shape[0] for v in values_list])
+    distinct = np.unique(lengths)
+    terms = np.zeros((q + distinct.size + 1, lengths.size))
+    grams = []
+    for i, length in enumerate(distinct):
+        sampler = sampling_matrix(xs, relative_positions(int(length)))
+        grams.append(sampler.T @ sampler)
+        cols = np.flatnonzero(lengths == length)
+        album_values = np.stack([values_list[a] for a in cols])
+        terms[:q, cols] = -2.0 * (sampler.T @ album_values.T)
+        terms[q + i, cols] = 1.0
+        terms[-1, cols] = (album_values**2).sum(axis=1)
+    blocks = [
+        (terms[:, lo : lo + _BLOCK].copy(), 1.0 / lengths[lo : lo + _BLOCK])
+        for lo in range(0, lengths.size, _BLOCK)
+    ]
+    return np.hstack(grams), blocks
+
+
+def _population_cost(population: np.ndarray, album_terms) -> np.ndarray:
+    """Summed per-album fitting cost for every individual, shape (m,).
+
+    Each row t of the population gets [t, t.(G_L t) per length, 1], so one
+    product with an album block's terms gives every squared gap.
+    """
+    grams, blocks = album_terms
     m, k, q = population.shape
-    normalized = normalize_minmax(population.reshape(m * k, q))
+    t = normalize_minmax(population.reshape(m * k, q))
+    quad = np.einsum("rlj,rj->rl", (t @ grams).reshape(m * k, -1, q), t)
+    rows = np.hstack([t, quad, np.ones((m * k, 1))])
     total = np.zeros(m)
-    for sampler, album_values, album_norms, length in groups:
-        samples = normalized @ sampler.T
-        sq = (
-            (samples**2).sum(axis=1)[:, None]
-            + album_norms[None, :]
-            - 2.0 * (samples @ album_values.T)
-        )
-        np.maximum(sq, 0.0, out=sq)
-        per_album = sq.reshape(m, k, -1).min(axis=1)
-        total += per_album.sum(axis=1) / length
+    for terms, inv_length in blocks:
+        gaps = (rows @ terms).reshape(m, k, -1).min(axis=1)
+        # Rounding can leave a gap below 0; clamping after the min over k is
+        # the same as before it, since max(., 0) is monotone.
+        np.maximum(gaps, 0.0, out=gaps)
+        total += gaps @ inv_length
     return total
 
 
@@ -185,7 +210,7 @@ def evolve_templates(
             raise ValueError(f"album {name!r} has {n} track(s); template extraction needs at least 2")
     values_list = [minmax_series(a) for a in albums]
     grid = np.array(DEFAULT_KNOTS if xs is None else xs, dtype=np.float64)
-    groups = _length_groups(values_list, grid)
+    album_terms = _album_terms(values_list, grid)
     s, b, k, q = (
         config.population_size,
         config.children_per_gen,
@@ -195,7 +220,7 @@ def evolve_templates(
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
 
     population = rng.standard_normal((s, k, q))
-    costs = _population_cost(population, groups)
+    costs = _population_cost(population, album_terms)
     order = np.argsort(costs, kind="stable")
     population, costs = population[order], costs[order]
 
@@ -209,7 +234,7 @@ def evolve_templates(
         take_father = rng.random((b, k, q)) < config.crossover_prob
         children = np.where(take_father, population[fathers], population[mothers])
         children = children + sigma * rng.standard_normal((b, k, q))
-        child_costs = _population_cost(children, groups)
+        child_costs = _population_cost(children, album_terms)
 
         population = np.concatenate([population, children])
         costs = np.concatenate([costs, child_costs])
@@ -224,7 +249,14 @@ def evolve_templates(
         else:
             stale += 1
             if stale >= config.stagnation_patience:
+                reason = f"{config.stagnation_patience} generations without improvement"
                 break
+    else:
+        reason = f"generation cap {config.generations}"
+    log.info(
+        "GA ran %d generations, best cost %.6g; stopped: %s",
+        len(history), float(costs[0]), reason,
+    )
 
     best = TemplateSet(
         xs=grid,

@@ -126,6 +126,26 @@ class TestSchema:
         path.write_text("# config_sha256=deadbeef seed=1\n" + body.getvalue())
         assert len(load_feature_table(path)) == 3
 
+    @pytest.mark.parametrize("comment", ["", "# config_sha256=deadbeef seed=1\n"], ids=["header", "comment"])
+    @pytest.mark.parametrize("load", [load_feature_table, load_album_table])
+    def test_byte_order_mark_dropped(self, tmp_path, load, comment):
+        # Spreadsheet "CSV UTF-8" exports start with U+FEFF, before the
+        # header or before a leading comment line.
+        ds = synth_generate(SynthConfig(n_albums=3, length_range=(3, 4), seed=1))
+        body = io.StringIO()
+        write_feature_csv(ds, body)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(comment + body.getvalue(), encoding="utf-8")
+        marked.write_text("\ufeff" + comment + body.getvalue(), encoding="utf-8")
+        want, got = load(plain), load(marked)
+        assert [_ids(a) for a in got.albums] == [_ids(a) for a in want.albums]
+        assert [a.album_id for a in got.albums] == [a.album_id for a in want.albums]
+        assert got.split_of == want.split_of
+        for album_got, album_want in zip(got.albums, want.albums):
+            for t_got, t_want in zip(album_got.tracks, album_want.tracks):
+                assert type(t_got) is type(t_want)
+                np.testing.assert_array_equal(getattr(t_got, "stats", 0), getattr(t_want, "stats", 0))
+
     def test_tracks_ordered_by_position_not_file_order(self, tmp_path):
         rows = [
             _feature_row("a1", "t2", 2, "train", 0.2),

@@ -1,8 +1,14 @@
 """Tests for GA-based template extraction and the template-set container."""
 
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from albumarc import templates
 from albumarc.core import EssenceSeries, minmax_series, normalize_minmax, relative_positions
 from albumarc.fitcurve import sample_template
 from albumarc.ingest import SynthConfig, synth_generate
@@ -10,10 +16,12 @@ from albumarc.spline import DEFAULT_KNOTS, build_spline
 from albumarc.templates import (
     GAConfig,
     TemplateSet,
-    _length_groups,
+    _album_terms,
     _population_cost,
     evolve_templates,
 )
+
+import ga_oracle
 
 KNOTS = np.array(DEFAULT_KNOTS)
 
@@ -30,10 +38,10 @@ def _shape_albums(n_albums=60, seed=3, lengths=(5, 12)):
 
 def template_cost(template_set: TemplateSet, albums) -> float:
     """The GA's cost of one template set over albums (min-max normalized
-    essence series), from the length groups and population cost that
+    essence series), from the album terms and population cost that
     :func:`evolve_templates` minimizes."""
-    groups = _length_groups([minmax_series(a) for a in albums], template_set.xs)
-    return float(_population_cost(template_set.templates[None, :, :], groups)[0])
+    album_terms = _album_terms([minmax_series(a) for a in albums], template_set.xs)
+    return float(_population_cost(template_set.templates[None, :, :], album_terms)[0])
 
 
 def explicit_cost(template_set: TemplateSet, albums) -> float:
@@ -227,6 +235,115 @@ class TestTemplateCost:
         assert scaled == pytest.approx(base, rel=1e-12)
 
 
+def _oracle_and_cost(population, albums, xs=KNOTS):
+    """The population's costs from the per-length oracle and from
+    :func:`_population_cost`."""
+    values = [minmax_series(a) for a in albums]
+    want = ga_oracle.population_cost(population, ga_oracle.length_groups(values, xs))
+    got = _population_cost(population, _album_terms(values, xs))
+    return want, got
+
+
+def _assert_matches_oracle(population, albums, xs=KNOTS):
+    want, got = _oracle_and_cost(population, albums, xs)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(
+        np.argsort(got, kind="stable"), np.argsort(want, kind="stable")
+    )
+
+
+class TestCostOracle:
+    """The one-product cost against the per-length oracle it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 12),
+        k=st.integers(1, 5),
+        n_albums=st.integers(1, 60),
+    )
+    def test_random_populations_mixed_lengths(self, seed, m, k, n_albums):
+        rng = np.random.default_rng(seed)
+        albums = [rng.random(int(n)) for n in rng.integers(2, 21, size=n_albums)]
+        _assert_matches_oracle(rng.standard_normal((m, k, 7)), albums)
+
+    @pytest.mark.parametrize(
+        "xs", [[0.0, 1.0], [0.0, 0.5, 1.0], [0.0, 0.1, 0.45, 0.7, 1.0], np.linspace(0, 1, 11)]
+    )
+    def test_custom_knot_grid(self, xs):
+        rng = np.random.default_rng(4)
+        xs = np.array(xs)
+        albums = [rng.random(int(n)) for n in rng.integers(2, 21, size=50)]
+        _assert_matches_oracle(rng.standard_normal((16, 3, xs.size)), albums, xs)
+
+    def test_constant_rows_normalize_to_half(self):
+        rng = np.random.default_rng(6)
+        population = rng.standard_normal((16, 4, 7))
+        population[::2, 1] = 2.5
+        population[3] = -1.0
+        albums = [rng.random(int(n)) for n in rng.integers(2, 21, size=50)]
+        _assert_matches_oracle(population, albums)
+
+    @pytest.mark.parametrize(
+        "row, shape",
+        [
+            (KNOTS, lambda r: r),
+            (3.0 * KNOTS + 1.0, lambda r: r),
+            (-KNOTS, lambda r: 1.0 - r),
+            (np.full(7, 4.0), lambda r: np.full(r.size, 0.5)),
+        ],
+        ids=["rising", "rising-scaled", "falling", "constant"],
+    )
+    def test_clamp_at_an_exact_fit(self, row, shape):
+        # Each album equals the template's samples, so its raw squared gap
+        # is rounding noise around 0, negative at some lengths: the clamp
+        # keeps every cost in [0, rounding].
+        costs = []
+        for n in range(2, 21):
+            want, got = _oracle_and_cost(row[None, None, :], [shape(relative_positions(n))])
+            costs += [want[0], got[0]]
+        assert 0.0 <= min(costs) and max(costs) <= 1e-15
+
+    def test_more_albums_than_one_block(self):
+        rng = np.random.default_rng(10)
+        albums = [rng.random(int(n)) for n in rng.integers(2, 21, size=5000)]
+        assert len(_album_terms(albums, KNOTS)[1]) > 1
+        _assert_matches_oracle(rng.standard_normal((8, 4, 7)), albums)
+
+    def test_evolve_with_oracle_cost(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        albums = []
+        for i in range(60):
+            r = relative_positions(int(rng.integers(2, 21)))
+            shape = r if i % 2 else (2.0 * r - 1.0) ** 2
+            albums.append(normalize_minmax(shape + 0.05 * rng.standard_normal(r.size)))
+        config = GAConfig(n_templates=2, generations=120, stagnation_patience=15, seed=5)
+        ts, history = evolve_templates(albums, config)
+        monkeypatch.setattr(templates, "_album_terms", ga_oracle.length_groups)
+        monkeypatch.setattr(templates, "_population_cost", ga_oracle.population_cost)
+        oracle_ts, oracle_history = evolve_templates(albums, config)
+        np.testing.assert_array_equal(ts.templates, oracle_ts.templates)
+        assert len(history) == len(oracle_history)
+        np.testing.assert_allclose(history, oracle_history, rtol=1e-12, atol=0.0)
+        assert ts.final_cost == pytest.approx(oracle_ts.final_cost, rel=1e-12, abs=0.0)
+
+    def test_cost_memory_is_bounded(self):
+        # Albums go through in blocks, so the call's peak does not grow with
+        # the corpus: 20 000 albums in one product would need 41 MB for the
+        # (256, 20 000) gaps alone.
+        rng = np.random.default_rng(14)
+        values = [rng.random(int(n)) for n in rng.integers(3, 21, size=20_000)]
+        album_terms = _album_terms(values, KNOTS)
+        population = rng.standard_normal((64, 4, 7))
+        tracemalloc.start()
+        try:
+            _population_cost(population, album_terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
 @pytest.fixture(scope="module")
 def recovered():
     albums = _shape_albums()
@@ -269,14 +386,31 @@ class TestEvolve:
         np.testing.assert_allclose(ts.templates.min(axis=1), 0.0, atol=1e-15)
         np.testing.assert_allclose(ts.templates.max(axis=1), 1.0, atol=1e-15)
 
-    def test_stagnation_stops_early(self):
+    def test_stagnation_stops_early(self, caplog):
+        caplog.set_level(logging.INFO, logger="albumarc.templates")
         albums = [np.linspace(0, 1, 6)]
         config = GAConfig(
             n_templates=1, population_size=8, children_per_gen=8,
             generations=400, stagnation_patience=4, seed=0,
         )
-        _, history = evolve_templates(albums, config)
+        ts, history = evolve_templates(albums, config)
         assert len(history) < 400
+        assert caplog.messages == [
+            f"GA ran {len(history)} generations, best cost {ts.final_cost:.6g}; "
+            "stopped: 4 generations without improvement"
+        ]
+
+    def test_generation_cap_logged(self, caplog):
+        caplog.set_level(logging.INFO, logger="albumarc.templates")
+        config = GAConfig(
+            n_templates=1, population_size=8, children_per_gen=8,
+            generations=5, stagnation_patience=50, seed=0,
+        )
+        ts, history = evolve_templates([np.linspace(0, 1, 6)], config)
+        assert len(history) == 5
+        assert caplog.messages == [
+            f"GA ran 5 generations, best cost {ts.final_cost:.6g}; stopped: generation cap 5"
+        ]
 
     def test_custom_grid(self):
         xs = np.linspace(0, 1, 5)
