@@ -3,9 +3,12 @@ the Holm-Bonferroni significance protocol.
 
 Per album: the essence series (in ground-truth order) is fitted to each of
 the k templates, so a fitted ordering equal to the identity reproduces the
-true track order.  The string edit score of the k fitted orderings is
-compared against two nulls: k uniformly random orderings, and a refit after
-shuffling the album's essence values.
+true track order.  The fit is the sorted matching, with equal values taken
+in the order of one random key per track: optimal in both the maximum and
+the total deviation (see :mod:`albumarc.fitcurve`), and blind to the order
+the series arrives in, which a tie-break by position would lean toward.  The
+string edit score of the k fitted orderings is compared against two nulls: k
+uniformly random orderings, and a refit after shuffling the album's values.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ import logging
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from .core import Ordering, album_values, check_type, normalize_minmax
-from .fitcurve import _fit_rows, sample_template
+from .fitcurve import sample_template
 from .templates import TemplateSet
 
 log = logging.getLogger(__name__)
@@ -75,8 +78,8 @@ def _levenshtein(match: dict, m: int, b) -> int:
 def _as_positions(ordering) -> tuple[int, ...]:
     if isinstance(ordering, Ordering):
         return ordering.positions
-    if type(ordering) is tuple and set(map(type, ordering)) <= {int}:
-        return ordering
+    if type(ordering) in (tuple, list) and set(map(type, ordering)) <= {int}:
+        return tuple(ordering)
     return tuple(int(i) for i in ordering)
 
 
@@ -117,7 +120,7 @@ def paired_t_test(a, b) -> float:
     if sd == 0.0:
         return 0.0
     t = d.mean() / (sd / np.sqrt(d.size))
-    return float(min(1.0, 2.0 * stats.t.sf(abs(t), df=d.size - 1)))
+    return float(min(1.0, 2.0 * stdtr(d.size - 1, -abs(t))))
 
 
 def check_alpha(alpha: float) -> None:
@@ -176,6 +179,15 @@ class EvalReport:
         return asdict(self)
 
 
+def _sorted_matchings(y: np.ndarray, keys: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The value index per position (B x k x n) that gives, for each row of
+    values ``y`` (B x n) and each row of ``targets`` (k x n), the r-th
+    smallest target the r-th smallest value: equal values in the order of
+    their ``keys`` (B x n), equal targets in position order."""
+    target_ranks = np.argsort(np.argsort(targets, axis=1, kind="stable"), axis=1)
+    return np.lexsort((keys, y))[:, target_ranks]
+
+
 def evaluate_templates(
     dataset,
     essence_by_track: dict,
@@ -201,39 +213,42 @@ def evaluate_templates(
             )
     curves = template_set.curves()
     k = len(curves)
-    # Per album, from its own stream: k random orderings, then the shuffle.
+    # Per album, from its own stream: k random orderings, the shuffle, tie keys.
     draws = []
     by_length: dict[int, list[int]] = {}
     seeds = np.random.SeedSequence(seed).spawn(len(series))
     for i, ((_, values), album_seed) in enumerate(zip(series, seeds)):
         rng = np.random.default_rng(album_seed)
         n = values.shape[0]
-        draws.append(([tuple(rng.permutation(n).tolist()) for _ in range(k)], rng.permutation(n)))
+        randoms = [tuple(rng.permutation(n).tolist()) for _ in range(k)]
+        draws.append((randoms, rng.permutation(n), rng.random(n)))
         by_length.setdefault(n, []).append(i)
 
     evals: list = [None] * len(series)
     for n, members in by_length.items():
-        # Rows: each album's learned fits, then each album's shuffled fits,
-        # each as k consecutive rows, one per template.
+        # Rows: each album's series, then its shuffle; a value keeps its tie key.
         m = len(members)
         y = normalize_minmax(np.stack([series[i][1] for i in members]))
-        y_shuffled = np.take_along_axis(y, np.stack([draws[i][1] for i in members]), axis=1)
+        shuffles = np.stack([draws[i][1] for i in members])
+        keys = np.stack([draws[i][2] for i in members])
         targets = np.stack([sample_template(curve, n) for curve in curves])
-        orderings, bottlenecks, deviations = _fit_rows(
-            np.repeat(np.concatenate((y, y_shuffled)), k, axis=0), np.tile(targets, (2 * m, 1))
+        orderings = _sorted_matchings(
+            np.concatenate((y, np.take_along_axis(y, shuffles, axis=1))),
+            np.concatenate((keys, np.take_along_axis(keys, shuffles, axis=1))),
+            targets,
         )
-        bottlenecks, totals = bottlenecks.tolist(), deviations.sum(axis=1).tolist()
+        deviations = np.abs(np.take_along_axis(y[:, None, :], orderings[:m], axis=2) - targets)
+        bottlenecks, totals = deviations.max(axis=2).tolist(), deviations.sum(axis=2).tolist()
+        orderings = orderings.tolist()
         truth = tuple(range(n))
         for a, i in enumerate(members):
-            learned = slice(a * k, (a + 1) * k)
-            refit = slice((m + a) * k, (m + a + 1) * k)
             evals[i] = AlbumEval(
                 album_id=series[i][0],
                 length=n,
-                best_template=min(zip(bottlenecks[learned], totals[learned], range(k)))[2],
-                learned_score=string_edit_score(orderings[learned], truth),
+                best_template=min(zip(bottlenecks[a], totals[a], range(k)))[2],
+                learned_score=string_edit_score(orderings[a], truth),
                 random_score=string_edit_score(draws[i][0], truth),
-                shuffled_score=string_edit_score(orderings[refit], truth),
+                shuffled_score=string_edit_score(orderings[m + a], truth),
             )
 
     learned = np.array([e.learned_score for e in evals])

@@ -1,11 +1,12 @@
 """Reference template evaluation, kept as a test oracle.
 
-This is the per-album loop that ``albumarc.evaluation.evaluate_templates``
-ran before it fitted every album of one length in one batch: each template
-sampled once per album length, then per album k learned fits, k random
-orderings and k fits of the shuffled values, one 1-D fit at a time
-(``fit_oracle.fit_targets``).  Edit distances come from the quadratic
-dynamic program that the bit-parallel ``levenshtein`` replaced.
+The per-album loop that ``albumarc.evaluation.evaluate_templates`` runs
+as one sort per album length: each template sampled once per album length,
+then per album k random orderings, the shuffle and one tie key per track,
+drawn in that order from the album's stream, and k sorted matchings of the
+values and k of the shuffled values, each built by Python's ``sorted``.
+Edit distances come from the quadratic dynamic program that the
+bit-parallel ``levenshtein`` replaced.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import numpy as np
 from albumarc.core import album_values, normalize_minmax
 from albumarc.evaluation import COMPARISONS, AlbumEval, EvalReport, holm_bonferroni, paired_t_test
 from albumarc.fitcurve import sample_template
-
-from fit_oracle import fit_targets
 
 
 def dp_levenshtein(a, b) -> int:
@@ -38,28 +37,41 @@ def edit_score(candidates, truth) -> float:
     return max(1.0 / (1.0 + dp_levenshtein(c, truth)) for c in candidates)
 
 
+def sorted_matching(y, keys, z) -> tuple[int, ...]:
+    """The value index per position that gives the r-th smallest target
+    (equal targets by position) the r-th smallest value (equal values by
+    key)."""
+    n = len(y)
+    by_value = sorted(range(n), key=lambda i: (y[i], keys[i]))
+    by_target = sorted(range(n), key=lambda j: (z[j], j))
+    x = [0] * n
+    for i, j in zip(by_value, by_target):
+        x[j] = i
+    return tuple(x)
+
+
 def evaluate_album(album_id, values, targets, rng) -> AlbumEval:
     """Score one album; ``targets`` holds each template sampled at its length."""
     n = values.shape[0]
     y = normalize_minmax(values)
     truth = tuple(range(n))
-    fits = [fit_targets(y, z) for z in targets]
-    best_template = min(
-        range(len(fits)), key=lambda p: (fits[p].bottleneck, fits[p].total_deviation, p)
-    )
-    learned = edit_score([f.ordering.positions for f in fits], truth)
     random_orderings = [tuple(rng.permutation(n)) for _ in range(len(targets))]
-    random_score = edit_score(random_orderings, truth)
-    shuffled = y[rng.permutation(n)]
-    shuffled_fits = [fit_targets(shuffled, z) for z in targets]
-    shuffled_score = edit_score([f.ordering.positions for f in shuffled_fits], truth)
+    shuffle = rng.permutation(n)
+    keys = rng.random(n)
+    fits = [sorted_matching(y.tolist(), keys.tolist(), z.tolist()) for z in targets]
+    deviations = [np.abs(y[list(x)] - z) for x, z in zip(fits, targets)]
+    best_template = min(
+        range(len(fits)), key=lambda p: (deviations[p].max(), deviations[p].sum(), p)
+    )
+    shuffled, shuffled_keys = y[shuffle].tolist(), keys[shuffle].tolist()
+    shuffled_fits = [sorted_matching(shuffled, shuffled_keys, z.tolist()) for z in targets]
     return AlbumEval(
         album_id=album_id,
         length=n,
         best_template=best_template,
-        learned_score=learned,
-        random_score=random_score,
-        shuffled_score=shuffled_score,
+        learned_score=edit_score(fits, truth),
+        random_score=edit_score(random_orderings, truth),
+        shuffled_score=edit_score(shuffled_fits, truth),
     )
 
 

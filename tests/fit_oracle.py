@@ -14,8 +14,8 @@ production solver against :func:`fit_ordering` here.
 :func:`lex_smallest_assignment` is the 1-D solver's interval sweep as numpy
 array code, before it became list code; the sweep is checked against it on
 the same intervals.  :func:`rank_intervals` is the 1-D solver's interval
-computation for one instance, before it worked on rows of a batch, and
-:func:`fit_targets` the 1-D fit composed from the two.
+computation before it merged the values and targets in one sort: the flow
+at the unique breakpoints, located by binary search.
 """
 
 from __future__ import annotations
@@ -331,25 +331,6 @@ def lex_smallest_assignment(order_y, order_z, lo, hi) -> np.ndarray:
         remaining_values[:, b : m - 1] = remaining_values[:, b + 1 : m]
         remaining_targets[:, a : m - 1] = remaining_targets[:, a + 1 : m]
     return x
-
-
-def fit_targets(y, z) -> FitResult:
-    """The 1-D fit of values ``y`` onto targets ``z`` for one instance:
-    sorted matching, :func:`rank_intervals` and :func:`lex_smallest_assignment`."""
-    order_y = np.argsort(y, kind="stable")
-    order_z = np.argsort(z, kind="stable")
-    ys, zs = y[order_y], z[order_z]
-    bottleneck = float(np.abs(ys - zs).max())
-    lo, hi = rank_intervals(ys, zs, bottleneck)
-    x = lex_smallest_assignment(order_y, order_z, lo, hi)
-
-    per_position = np.abs(y[x] - z)
-    return FitResult(
-        ordering=Ordering(tuple(x)),
-        bottleneck=bottleneck,
-        total_deviation=float(per_position.sum()),
-        per_position_deviation=per_position,
-    )
 
 
 def fit_ordering(values, curve: TemplateCurve) -> FitResult:

@@ -835,6 +835,14 @@ class TestFeatureCells:
 
 
 class TestMisc:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs most of a second at every start-up; the paired
+        # t-test needs only scipy.special's t distribution.
+        code = "import sys, albumarc.cli; print('scipy.stats' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
     def test_version_and_help(self):
         assert "version" in run_ok("--version").stdout
         help_text = run_ok("--help").stdout

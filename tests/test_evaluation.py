@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from albumarc import evaluation
-from albumarc.core import Album, Ordering, Track
+from albumarc.core import Album, EssenceSeries, Ordering, Track
 from albumarc.evaluation import (
     COMPARISONS,
     evaluate_templates,
@@ -19,10 +19,10 @@ from albumarc.evaluation import (
     plot_rows,
     string_edit_score,
 )
-from albumarc.fitcurve import fit_ordering
+from albumarc.fitcurve import fit_ordering, sample_template
 from albumarc.ingest import Dataset, SynthConfig, synth_generate
 from albumarc.spline import DEFAULT_KNOTS
-from albumarc.templates import TemplateSet
+from albumarc.templates import GAConfig, TemplateSet, evolve_templates
 
 import eval_oracle
 from eval_oracle import dp_levenshtein
@@ -250,35 +250,55 @@ class TestEvaluateTemplates:
         for album in ds.albums:
             assert lengths[album.album_id] == len(album)
 
-    def test_fits_equal_fit_ordering(self, eval_setup, monkeypatch):
-        # evaluate_templates fits each album length's rows in one batch;
-        # every learned and shuffled row must equal fit_ordering's fit.
+    def test_fits_reach_fit_ordering_optima(self, eval_setup, monkeypatch):
+        # evaluate_templates fits each album length's rows by one sorted
+        # matching; every learned and shuffled row must reach fit_ordering's
+        # bottleneck exactly and its total deviation up to summation order.
         ds, essence, _ = eval_setup
         templates = TemplateSet(xs=KNOTS, templates=np.stack([1.0 - KNOTS, KNOTS, WAVY]))
         batches = []
 
-        def recording_fit_rows(y, z):
-            result = fit_rows(y, z)
-            batches.append((y.copy(), result))
-            return result
+        def recording_sorted_matchings(y, keys, targets):
+            orderings = sorted_matchings(y, keys, targets)
+            batches.append((y.copy(), orderings))
+            return orderings
 
-        fit_rows = evaluation._fit_rows
-        monkeypatch.setattr(evaluation, "_fit_rows", recording_fit_rows)
+        sorted_matchings = evaluation._sorted_matchings
+        monkeypatch.setattr(evaluation, "_sorted_matchings", recording_sorted_matchings)
         report = evaluate_templates(ds, essence, templates, seed=4)
         monkeypatch.undo()
 
         curves = templates.curves()
-        k = len(curves)
         assert len(batches) == len({e.length for e in report.albums})
-        assert sum(y.shape[0] for y, _ in batches) == 2 * k * len(report.albums)
-        for y, (orderings, bottlenecks, deviations) in batches:
-            for i, row in enumerate(y):
-                want = fit_ordering(row, curves[i % k])
-                assert orderings[i] == want.ordering.positions
-                assert bottlenecks[i] == want.bottleneck
-                assert deviations[i].sum() == want.total_deviation
+        assert sum(y.shape[0] for y, _ in batches) == 2 * len(report.albums)
+        for y, orderings in batches:
+            for row, fits in zip(y, orderings):
+                for curve, x in zip(curves, fits):
+                    assert sorted(x) == list(range(row.size))
+                    want = fit_ordering(row, curve)
+                    deviation = np.abs(row[x] - sample_template(curve, row.size))
+                    assert deviation.max() == want.bottleneck
+                    assert deviation.sum() == pytest.approx(want.total_deviation, abs=1e-9)
         again = evaluate_templates(ds, essence, templates, seed=4)
         assert report.to_dict() == again.to_dict()
+
+    @pytest.mark.parametrize("steps", [0, 4, 1])
+    def test_relabelled_values_relabel_candidates(self, steps):
+        # The fit reads each value with its tie key, not its position.  Row
+        # position i of a relabelled album holds value perms[i], so mapping
+        # its candidates through perms gives the album's own candidates.
+        # steps 0 draws distinct values, 4 quarter steps, 1 mostly ties.
+        rng = np.random.default_rng([41, steps])
+        curves = TemplateSet(xs=KNOTS, templates=np.stack([1.0 - KNOTS, KNOTS, WAVY])).curves()
+        targets = np.stack([sample_template(curve, 9) for curve in curves])
+        y = rng.uniform(0, 1, (50, 9)) if steps == 0 else rng.integers(0, steps + 1, (50, 9)) / steps
+        keys = rng.random((50, 9))
+        perms = np.stack([rng.permutation(9) for _ in range(50)])
+        got = evaluation._sorted_matchings(y, keys, targets)
+        relabelled = evaluation._sorted_matchings(
+            np.take_along_axis(y, perms, axis=1), np.take_along_axis(keys, perms, axis=1), targets
+        )
+        assert np.array_equal(np.take_along_axis(perms[:, None, :], relabelled, axis=2), got)
 
     def test_deterministic(self, eval_setup):
         ds, essence, templates = eval_setup
@@ -318,9 +338,13 @@ class TestEvaluateTemplates:
         assert report.rejections == (False, False)
 
     def test_degenerate_comparison_logs_warning(self, eval_setup, caplog):
-        # Constant essence fits to the identity before and after shuffling,
-        # so every learned-vs-shuffled difference is exactly zero.
-        ds, _, templates = eval_setup
+        # On two tracks the rising and the falling template make both
+        # orderings candidates, before and after shuffling, so every
+        # learned-vs-shuffled difference is exactly zero.
+        _, _, templates = eval_setup
+        ds = Dataset(
+            albums=tuple(Album(f"pair-{a}", (Track(f"p{a}-0"), Track(f"p{a}-1"))) for a in range(12))
+        )
         constant = {t.track_id: 0.5 for a in ds.albums for t in a.tracks}
         with caplog.at_level(logging.WARNING, logger="albumarc.evaluation"):
             report = evaluate_templates(ds, constant, templates, seed=0)
@@ -382,6 +406,34 @@ class TestAgainstOracle:
         got = evaluate_templates(ds, essence, template_set, seed=seed).to_dict()
         want = eval_oracle.evaluate_templates(ds, essence, template_set, seed=seed).to_dict()
         assert got == want
+
+
+class TestNull:
+    """No order in the essence, so neither comparison may reject more often
+    than the family's level allows."""
+
+    def test_corpus_scale_null(self, capsys):
+        # 20 seeds x 1000 albums whose essence is the synth's per-track
+        # noise scalar; rejections per comparison at k = 1 and k = 4.
+        hits = {1: [0, 0], 4: [0, 0]}
+        for seed in range(100, 120):
+            ds = synth_generate(
+                SynthConfig(n_albums=1000, latent_shape="valley", noise_sigma=0.05, seed=seed)
+            )
+            essence = ds.scalar_features["noise"]
+            series = [
+                EssenceSeries(a.album_id, tuple((essence[t.track_id],) for t in a.tracks)).minmax()
+                for a in ds.subset("train").albums
+            ]
+            for k, counts in hits.items():
+                ga = GAConfig(n_templates=k, generations=100, stagnation_patience=100, seed=seed)
+                template_set, _ = evolve_templates(series, ga)
+                report = evaluate_templates(ds, essence, template_set, seed=seed)
+                hits[k] = [c + r for c, r in zip(counts, report.rejections)]
+        with capsys.disabled():
+            print(f"\nnull rejections of 20, {list(COMPARISONS)}: k=1 {hits[1]}, k=4 {hits[4]}")
+        assert hits[1][0] <= 2 and hits[1][1] <= 2
+        assert hits[4][1] <= 2
 
 
 class TestPlotRows:

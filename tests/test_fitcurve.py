@@ -4,8 +4,9 @@
 Hopcroft-Karp, Hungarian assignment, lex-min DFS) that the 1-D solver
 replaced; its primitives are tested here and it is the reference for the
 differential tests.  It also holds the numpy form of the 1-D solver's
-interval sweep, the reference for the list sweep, and the 1-D solver's
-interval computation for one instance, the reference for the row-wise one.
+interval sweep, the reference for the list sweep, and the 1-D solver's rank
+intervals found at the unique breakpoints by binary search, the reference
+for the one-sort merge that computes them now.
 """
 
 import itertools
@@ -19,9 +20,8 @@ from scipy.optimize import linear_sum_assignment
 from albumarc.core import EssenceSeries, Ordering, relative_positions
 from albumarc.fitcurve import (
     FitResult,
-    _fit_rows,
-    _interval_rows,
     _lex_smallest_assignment,
+    _rank_intervals,
     fit_ordering,
     sample_template,
 )
@@ -312,41 +312,24 @@ class TestFitOrderingOptimality:
         assert first.bottleneck == second.bottleneck
 
 
-def sorted_rows(y, z):
-    """Each row of ``y`` and ``z`` sorted, and each row's sorted-matching
-    bottleneck."""
-    ys, zs = np.sort(y, axis=1), np.sort(z, axis=1)
-    return ys, zs, np.abs(ys - zs).max(axis=1)
+def sorted_pair(y, z):
+    """``y`` and ``z`` sorted, and their sorted matching's bottleneck."""
+    ys, zs = np.sort(y), np.sort(z)
+    return ys, zs, float(np.abs(ys - zs).max())
 
 
 def assert_sweeps_agree(y, z):
     order_y = np.argsort(y, kind="stable")
     order_z = np.argsort(z, kind="stable")
-    lo, hi = _interval_rows(*sorted_rows(y[None], z[None]))
-    got = _lex_smallest_assignment(order_y.tolist(), order_z.tolist(), lo[0], hi[0])
-    want = oracle_lex_smallest_assignment(order_y, order_z, np.array(lo[0]), np.array(hi[0]))
+    lo, hi = _rank_intervals(*sorted_pair(y, z))
+    got = _lex_smallest_assignment(order_y.tolist(), order_z.tolist(), lo, hi)
+    want = oracle_lex_smallest_assignment(order_y, order_z, np.array(lo), np.array(hi))
     assert list(got) == want.tolist()
 
 
 def mixed_rows(rng, n, b):
     """b rows of n values, every kind of :func:`make_values` in turn."""
     return np.stack([make_values(VALUE_KINDS[i % len(VALUE_KINDS)], n, rng) for i in range(b)])
-
-
-def row_batches(shape):
-    """A (2, b, n) array: b rows of values and b rows of targets, each cell
-    on a grid of ``steps`` steps (ties within and across the two sides are
-    common) or, for ``steps`` 0, any float in [0, 1]."""
-    b, n, steps = shape
-    cell = st.floats(0.0, 1.0) if steps == 0 else st.integers(0, steps).map(lambda i: i / steps)
-    return st.lists(cell, min_size=2 * b * n, max_size=2 * b * n).map(
-        lambda cells: np.array(cells, dtype=np.float64).reshape(2, b, n)
-    )
-
-
-batches = st.tuples(st.integers(1, 6), st.integers(2, 10), st.sampled_from([0, 2, 4, 8])).flatmap(
-    row_batches
-)
 
 
 class TestAgainstOracle:
@@ -388,15 +371,16 @@ class TestAgainstOracle:
         for kind in VALUE_KINDS:
             for _ in range(40):
                 n = int(rng.integers(2, 61))
-                y = make_values(kind, n, rng)[None]
-                z = sample_template(random_curve(rng), n)[None]
-                lo, hi = (np.array(bounds[0]) for bounds in _interval_rows(*sorted_rows(y, z)))
+                y = make_values(kind, n, rng)
+                z = sample_template(random_curve(rng), n)
+                lo, hi = (np.array(bounds) for bounds in _rank_intervals(*sorted_pair(y, z)))
                 assert np.all(np.diff(lo) >= 0) and np.all(np.diff(hi) >= 0)
                 assert np.all(lo <= np.arange(n)) and np.all(np.arange(n) <= hi)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 20, 61])
     def test_interval_rows_match_one_instance_oracle(self, n):
-        # Batches that mix random, tied and constant rows of one length.
+        # Random, tied and constant values of one length, against spline
+        # targets and, now and then, against tie-heavy targets.
         rng = np.random.default_rng([18, n])
         for _ in range(20):
             b = int(rng.integers(1, 12))
@@ -404,24 +388,12 @@ class TestAgainstOracle:
             z = np.stack([sample_template(random_curve(rng), n) for _ in range(b)])
             if rng.random() < 0.3:
                 z = mixed_rows(rng, n, b)
-            ys, zs, bottlenecks = sorted_rows(y, z)
-            lo, hi = _interval_rows(ys, zs, bottlenecks)
             for i in range(b):
-                want_lo, want_hi = oracle_rank_intervals(ys[i], zs[i], float(bottlenecks[i]))
-                assert lo[i] == want_lo.tolist()
-                assert hi[i] == want_hi.tolist()
-
-    @settings(max_examples=200, deadline=None)
-    @given(batches)
-    def test_batch_equals_one_row_calls(self, yz):
-        y, z = yz
-        orderings, bottlenecks, deviations = _fit_rows(y, z)
-        for i in range(y.shape[0]):
-            (one,), (bottleneck,), (deviation,) = _fit_rows(y[i : i + 1], z[i : i + 1])
-            assert orderings[i] == one
-            assert bottlenecks[i] == bottleneck
-            assert np.array_equal(deviations[i], deviation)
-            assert deviations[i].sum() == deviation.sum()
+                ys, zs, bottleneck = sorted_pair(y[i], z[i])
+                lo, hi = _rank_intervals(ys, zs, bottleneck)
+                want_lo, want_hi = oracle_rank_intervals(ys, zs, bottleneck)
+                assert lo == want_lo.tolist()
+                assert hi == want_hi.tolist()
 
 
 class TestLargeFits:
