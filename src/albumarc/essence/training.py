@@ -14,6 +14,7 @@ epoch over every validation album, without dropout.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,8 @@ from ..errors import IngestError, TrainingDiverged
 from . import autodiff as ad
 from .model import EssenceModel, ScorerArch, init_params
 from .objective import batch_loss_graph, contrastive_permutations, mi_lower_bound
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -155,7 +158,8 @@ def _fit(
     stacked dropout mask; ``*_data`` hold (album id, x) pairs.  When
     ``dropout_width`` is given, each training album draws a (length,
     dropout_width) keep mask right after its permutations.  Returns the
-    history and each net's parameters at the best validation epoch.
+    history and each net's parameters at the best validation epoch, and logs
+    the epochs run, the best epoch's validation MI and the stop reason.
     """
     n_sets = config.val_sets_per_album
     val_perms = [
@@ -211,7 +215,15 @@ def _fit(
         else:
             stale += 1
             if stale >= config.patience:
+                reason = f"{config.patience} epochs without improvement"
                 break
+    else:
+        reason = f"epoch cap {config.max_epochs}"
+    best = min(history, key=lambda h: h.val_loss)
+    log.info(
+        "training ran %d epochs, best epoch %d, best validation MI %.6g bits; stopped: %s",
+        len(history), best.epoch, best.val_mi_bits, reason,
+    )
     return history, best_params
 
 

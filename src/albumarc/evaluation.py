@@ -31,48 +31,62 @@ COMPARISONS = ("learned_vs_random", "learned_vs_shuffled")
 def levenshtein(a, b) -> int:
     """Minimum unit-cost insertions + deletions + substitutions turning
     sequence a into sequence b; items are hashable and compared by equality.
-
-    Bit-parallel (Myers 1999, *J. ACM* 46(3), as Hyyrö 2001 states it): bit
-    i of the vertical delta vectors ``pv``/``mv`` is +1/-1 between rows i and
-    i+1 of the current DP column, with the rows over ``a`` and Python ints as
-    bit vectors, so each item of ``b`` costs O(1) big-int operations.
+    One lane of :func:`_edit_distances`.
     """
-    a = list(a)
-    return _levenshtein(_match_masks(a), len(a), b)
+    return int(_edit_distances(*_codes([a], b))[0])
 
 
-def _match_masks(a) -> dict:
-    """Per item of ``a``, the bit vector of the rows where it occurs."""
-    match: dict = {}
-    for i, item in enumerate(a):
-        match[item] = match.get(item, 0) | 1 << i
-    return match
+def _codes(rows, b) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-length sequences ``rows`` and the sequence ``b`` as int codes,
+    equal items equal codes; an item of ``rows`` absent from ``b`` codes as
+    -1, which no item of ``b`` does."""
+    code: dict = {}
+    columns = [code.setdefault(item, len(code)) for item in b]
+    row_codes = [[code.get(item, -1) for item in row] for row in rows]
+    return np.array(row_codes, dtype=np.int64), np.array(columns, dtype=np.int64)
 
 
-def _levenshtein(match: dict, m: int, b) -> int:
-    """:func:`levenshtein` from a sequence of length ``m`` with
-    :func:`_match_masks` ``match`` to ``b``."""
-    if not m:
-        return len(list(b))
-    mask = (1 << m) - 1
-    top = 1 << (m - 1)
-    pv, mv, dist = mask, 0, m
-    for item in b:
-        eq = match.get(item, 0)
+def _edit_distances(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Levenshtein distance from each row of the int array ``rows`` (R x m)
+    to the sequence ``b`` of ints >= 0, all rows in one bit-parallel pass; -1
+    in ``rows`` matches nothing.
+
+    Myers 1999, *J. ACM* 46(3), as Hyyrö 2001 states it: bit i of the
+    vertical delta vectors ``pv``/``mv`` is +1/-1 between DP rows i and i+1 of
+    the current column.  Row r of ``rows`` is lane r of one Python int, bits
+    r(m+1) ... r(m+1)+m-1; the zero guard bit above each lane takes the
+    addition's carry and the shifted-out top bit, so no lane reaches the
+    next.  Each item of ``b`` costs O(1) big-int operations for all rows, and
+    only one column's match bits exist at a time.  Row 0 of a column over
+    ``b`` holds its index, so a lane's distance is len(b) plus the net
+    vertical delta down the lane.
+    """
+    r, m = rows.shape
+    width = m + 1
+    low = ((1 << r * width) - 1) // ((1 << width) - 1)  # bit 0 of each lane
+    mask = low * ((1 << m) - 1)
+    lanes = np.full((r, width), -1, dtype=np.int64)  # the guard column matches nothing
+    lanes[:, :m] = rows
+    match = np.empty((r, width), dtype=bool)
+    pv, mv = mask, 0
+    for item in b.tolist():
+        eq = int.from_bytes(np.packbits(np.equal(lanes, item, out=match), bitorder="little"), "little")
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
+        ph = (mv | ~(xh | pv)) & mask
         mh = pv & xh
-        if ph & top:
-            dist += 1
-        elif mh & top:
-            dist -= 1
-        # Row 0 of every DP column grows by one: a +1 horizontal delta enters.
-        ph = ph << 1 | 1
-        mh <<= 1
-        pv = (mh | ~(xv | ph)) & mask
+        # Row 0 of every DP column grows by one: a +1 horizontal delta enters
+        # at bit 0 of each lane.
+        ph = ph << 1 | low
+        pv = (mh << 1 | ~(xv | ph)) & mask
         mv = ph & xv
-    return dist
+
+    def lane_counts(vector: int) -> np.ndarray:
+        octets = np.frombuffer(vector.to_bytes((r * width + 7) // 8, "little"), dtype=np.uint8)
+        bits = np.unpackbits(octets, bitorder="little")[: r * width]
+        return bits.reshape(r, width).sum(axis=1, dtype=np.int64)
+
+    return len(b) + lane_counts(pv) - lane_counts(mv)
 
 
 def _as_positions(ordering) -> tuple[int, ...]:
@@ -96,9 +110,8 @@ def string_edit_score(candidates, truth) -> float:
     for c in cands:
         if len(c) != m:
             raise ValueError(f"candidate length {len(c)} does not match truth length {m}")
-    # Edit distance is symmetric, so the truth's masks serve every candidate.
-    match = _match_masks(truth_pos)
-    return max(1.0 / (1.0 + _levenshtein(match, m, c)) for c in cands)
+    # Edit distance is symmetric, so the truth serves as every row's b.
+    return 1.0 / (1.0 + int(_edit_distances(*_codes(cands, truth_pos)).min()))
 
 
 def paired_t_test(a, b) -> float:
@@ -183,9 +196,11 @@ def _sorted_matchings(y: np.ndarray, keys: np.ndarray, targets: np.ndarray) -> n
     """The value index per position (B x k x n) that gives, for each row of
     values ``y`` (B x n) and each row of ``targets`` (k x n), the r-th
     smallest target the r-th smallest value: equal values in the order of
-    their ``keys`` (B x n), equal targets in position order."""
+    their ``keys`` (B x n), equal targets in position order.  C-ordered, so
+    deviations gathered through it sum along their last axis in the order a
+    one-row sum takes, and a tie in the bottleneck falls to the same total."""
     target_ranks = np.argsort(np.argsort(targets, axis=1, kind="stable"), axis=1)
-    return np.lexsort((keys, y))[:, target_ranks]
+    return np.take(np.lexsort((keys, y)), target_ranks, axis=1)
 
 
 def evaluate_templates(
@@ -220,7 +235,7 @@ def evaluate_templates(
     for i, ((_, values), album_seed) in enumerate(zip(series, seeds)):
         rng = np.random.default_rng(album_seed)
         n = values.shape[0]
-        randoms = [tuple(rng.permutation(n).tolist()) for _ in range(k)]
+        randoms = [rng.permutation(n) for _ in range(k)]
         draws.append((randoms, rng.permutation(n), rng.random(n)))
         by_length.setdefault(n, []).append(i)
 
@@ -239,16 +254,19 @@ def evaluate_templates(
         )
         deviations = np.abs(np.take_along_axis(y[:, None, :], orderings[:m], axis=2) - targets)
         bottlenecks, totals = deviations.max(axis=2).tolist(), deviations.sum(axis=2).tolist()
-        orderings = orderings.tolist()
-        truth = tuple(range(n))
+        # Rows: every album's k learned fits, its k random orderings, its k
+        # shuffled fits; each scored by its best of k against the identity.
+        candidates = np.concatenate((orderings[:m], [draws[i][0] for i in members], orderings[m:]))
+        distances = _edit_distances(candidates.reshape(-1, n), np.arange(n))
+        scores = (1.0 / (1.0 + distances.reshape(3, m, k).min(axis=2))).tolist()
         for a, i in enumerate(members):
             evals[i] = AlbumEval(
                 album_id=series[i][0],
                 length=n,
                 best_template=min(zip(bottlenecks[a], totals[a], range(k)))[2],
-                learned_score=string_edit_score(orderings[a], truth),
-                random_score=string_edit_score(draws[i][0], truth),
-                shuffled_score=string_edit_score(orderings[m + a], truth),
+                learned_score=scores[0][a],
+                random_score=scores[1][a],
+                shuffled_score=scores[2][a],
             )
 
     learned = np.array([e.learned_score for e in evals])

@@ -5,8 +5,9 @@ as one sort per album length: each template sampled once per album length,
 then per album k random orderings, the shuffle and one tie key per track,
 drawn in that order from the album's stream, and k sorted matchings of the
 values and k of the shuffled values, each built by Python's ``sorted``.
-Edit distances come from the quadratic dynamic program that the
-bit-parallel ``levenshtein`` replaced.
+Edit distances come from the quadratic dynamic program, one candidate at a
+time, where ``albumarc.evaluation`` scores every candidate of an album
+length in one pass of its lane-packed bit-parallel kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from albumarc.fitcurve import sample_template
 
 
 def dp_levenshtein(a, b) -> int:
-    """The quadratic dynamic program ``levenshtein`` replaced, as its oracle."""
+    """The quadratic dynamic program, as the oracle of the lane-packed
+    ``levenshtein``."""
     a = list(a)
     b = list(b)
     if len(a) < len(b):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import logging
 import warnings
 
 import numpy as np
@@ -459,6 +460,21 @@ class TestTraining:
         losses = [h.train_loss for h in history]
         assert losses[1] <= losses[0]
         assert losses[2] <= losses[1]
+
+    def test_stop_reason_logged(self, caplog):
+        ds = synth_generate(SynthConfig(n_albums=20, length_range=(3, 8), seed=31))
+        caplog.set_level(logging.INFO, logger="albumarc.essence.training")
+        _, capped = train(ds, TrainConfig(seed=9, max_epochs=3, patience=3))
+        _, patient = train(ds, TrainConfig(seed=9, max_epochs=40, patience=2))
+        best = [min(history, key=lambda h: h.val_loss) for history in (capped, patient)]
+        assert len(patient) == best[1].epoch + 3 < 40
+        assert caplog.messages == [
+            f"training ran {len(history)} epochs, best epoch {b.epoch}, "
+            f"best validation MI {b.val_mi_bits:.6g} bits; stopped: {reason}"
+            for history, b, reason in zip(
+                (capped, patient), best, ("epoch cap 3", "2 epochs without improvement")
+            )
+        ]
 
     def test_history_and_best_model_agree(self, default_trained):
         model, history = default_trained

@@ -134,6 +134,55 @@ class TestStringEditScore:
             string_edit_score([(0, 1, 2)], (0, 1))
 
 
+class TestEditDistances:
+    """The lane-packed kernel: one batched call per set of equal-length rows."""
+
+    @staticmethod
+    def check(rows, b):
+        got = evaluation._edit_distances(rows, b).tolist()
+        assert got == [dp_levenshtein(row.tolist(), b.tolist()) for row in rows]
+        # Lanes do not reach each other: each row alone gives the same.
+        assert got == [int(evaluation._edit_distances(row[None], b)[0]) for row in rows]
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 200])
+    def test_batch_matches_dp_and_one_row_calls(self, m):
+        # Rows repeat items of 0-5; b also holds 6 and 7, which no row has.
+        rng = np.random.default_rng([25, m])
+        rows = rng.integers(0, 6, (12, m))
+        for nb in (0, 1, m - 1, m, m + 7):
+            self.check(rows, rng.integers(0, 8, nb))
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 200])
+    def test_empty_b_gives_row_length(self, m):
+        rows = np.random.default_rng(m).integers(0, 4, (5, m))
+        assert evaluation._edit_distances(rows, np.arange(0)).tolist() == [m] * 5
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 200])
+    def test_rows_differing_in_last_column(self, m):
+        # Each lane's top bit is where a carry or shift would leak.
+        rng = np.random.default_rng([26, m])
+        rows = np.repeat(rng.integers(0, 6, (1, m)), 8, axis=0)
+        rows[:, -1] = np.arange(8)
+        self.check(rows, rows[3])
+        self.check(rows, rng.permutation(rows[5]))
+
+    def test_permutations_against_identity(self):
+        rng = np.random.default_rng(27)
+        for n in (2, 7, 20, 64, 130):
+            rows = np.stack([rng.permutation(n) for _ in range(40)])
+            self.check(rows, np.arange(n))
+
+    def test_codes_keep_equality(self):
+        # Strings and tuples with repeats; items on one side only.
+        rng = np.random.default_rng(28)
+        letters = np.array(list("abcdefg"))
+        for m in (1, 5, 64, 65):
+            rows = ["".join(letters[rng.integers(0, 5, m)]) for _ in range(6)]
+            b = "".join(letters[rng.integers(2, 7, m + 2)])
+            got = evaluation._edit_distances(*evaluation._codes(rows, b)).tolist()
+            assert got == [dp_levenshtein(row, b) for row in rows]
+
+
 class TestPairedT:
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(3)
@@ -387,6 +436,25 @@ def mixed_setup():
     return Dataset(albums=ds.albums[:20] + tuple(extra) + ds.albums[20:]), essence
 
 
+@pytest.fixture(scope="module")
+def wide_setup():
+    """Albums of 64, 65 and 130 tracks, wider than a machine word, among
+    short synthesized ones; some wide ones with tied values."""
+    ds = synth_generate(
+        SynthConfig(n_albums=16, length_range=(3, 12), latent_shape="valley", noise_sigma=0.05, seed=9)
+    )
+    essence = dict(ds.scalar_features["latent_noisy"])
+    rng = np.random.default_rng(10)
+    wide = []
+    for a, (n, steps) in enumerate([(64, 0), (130, 0), (65, 3), (64, 5), (65, 0), (130, 4)]):
+        tracks = tuple(Track(f"wide-{a}-{j}") for j in range(n))
+        wide.append(Album(f"wide-{a}", tracks))
+        values = rng.uniform(0, 1, n) if steps == 0 else rng.integers(0, steps + 1, n) / steps
+        essence.update({t.track_id: float(v) for t, v in zip(tracks, values)})
+    albums = ds.albums[:5] + tuple(wide[:3]) + ds.albums[5:11] + tuple(wide[3:]) + ds.albums[11:]
+    return Dataset(albums=albums), essence
+
+
 class TestAgainstOracle:
     @pytest.mark.parametrize(
         "templates, seed",
@@ -402,6 +470,22 @@ class TestAgainstOracle:
     )
     def test_report_matches_per_album_oracle(self, mixed_setup, templates, seed):
         ds, essence = mixed_setup
+        template_set = TemplateSet(xs=KNOTS, templates=templates)
+        got = evaluate_templates(ds, essence, template_set, seed=seed).to_dict()
+        want = eval_oracle.evaluate_templates(ds, essence, template_set, seed=seed).to_dict()
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "templates, seed",
+        [
+            (np.random.default_rng(34).uniform(0, 1, (4, len(KNOTS))), 6),
+            (np.stack([1.0 - KNOTS, KNOTS, WAVY]), 7),
+            (WAVY[None], 8),
+        ],
+        ids=["random-k4", "wavy-k3", "wavy-k1"],
+    )
+    def test_wide_albums_match_per_album_oracle(self, wide_setup, templates, seed):
+        ds, essence = wide_setup
         template_set = TemplateSet(xs=KNOTS, templates=templates)
         got = evaluate_templates(ds, essence, template_set, seed=seed).to_dict()
         want = eval_oracle.evaluate_templates(ds, essence, template_set, seed=seed).to_dict()
