@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -121,7 +120,7 @@ class App:
 
 
 def _load_config(path: Path) -> dict:
-    doc = _read_input_json(path)
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     if "version" not in doc:
@@ -168,13 +167,6 @@ def _section_config(app: App, name: str, cls, **overrides):
         return cls(**kwargs)
 
 
-def _read_input_json(path: Path) -> dict:
-    try:
-        return read_json(path)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-
-
 def _load_dataset(app: App, features: bool) -> Dataset:
     """The length-filtered dataset.  Without ``features`` only the album
     structure is read: feature cells are neither parsed nor checked."""
@@ -191,7 +183,7 @@ def _essence_from_model(app: App) -> bool:
 def _load_input(path: Path, from_dict, what: str):
     """``from_dict`` of the JSON document at ``path``; a document it cannot
     read is a bad ``what`` file."""
-    doc = _read_input_json(path)
+    doc = read_json(path)
     try:
         return from_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:

@@ -124,11 +124,8 @@ def tanh(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     # Stable two-sided formulation.
-    out_data = np.where(
-        a.data >= 0,
-        1.0 / (1.0 + np.exp(-np.abs(a.data))),
-        np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))),
-    )
+    e = np.exp(-np.abs(a.data))
+    out_data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g):
         _accumulate(a, g * out_data * (1.0 - out_data))

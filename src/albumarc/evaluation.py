@@ -8,7 +8,12 @@ in the order of one random key per track: optimal in both the maximum and
 the total deviation (see :mod:`albumarc.fitcurve`), and blind to the order
 the series arrives in, which a tie-break by position would lean toward.  The
 string edit score of the k fitted orderings is compared against two nulls: k
-uniformly random orderings, and a refit after shuffling the album's values.
+uniformly random orderings, and the k fits relabelled by one uniformly random
+permutation, which is what refitting the shuffled values gives: the fit reads
+each value with its key, never its position.  Levenshtein distance is the same
+after one relabelling of both sequences, so that baseline scores the fits
+against a random order, a null calibrated at any k; the k independent random
+orderings are not once k > 1.
 """
 
 from __future__ import annotations
@@ -216,47 +221,48 @@ def evaluate_templates(
     from the master seed.  A paired test that is degenerate (fewer than two
     albums, or every per-album difference exactly zero) falls back to p = 1
     and logs a warning naming the comparison.  Every album needs at least 2
-    tracks.
+    tracks, with one scalar each.
     """
     series = album_values(dataset.albums, essence_by_track)
     if not series:
         raise ValueError("no albums to evaluate")
     for album_id, values in series:
+        if values.ndim != 1:
+            raise ValueError(
+                f"album {album_id!r}: evaluation needs one scalar per track, got shape {values.shape}"
+            )
         if values.shape[0] < 2:
             raise ValueError(
                 f"album {album_id!r} has {values.shape[0]} track(s); evaluation needs at least 2"
             )
     curves = template_set.curves()
     k = len(curves)
-    # Per album, from its own stream: k random orderings, the shuffle, tie keys.
-    draws = []
     by_length: dict[int, list[int]] = {}
+    for i, (_, values) in enumerate(series):
+        by_length.setdefault(values.shape[0], []).append(i)
     seeds = np.random.SeedSequence(seed).spawn(len(series))
-    for i, ((_, values), album_seed) in enumerate(zip(series, seeds)):
-        rng = np.random.default_rng(album_seed)
-        n = values.shape[0]
-        randoms = [rng.permutation(n) for _ in range(k)]
-        draws.append((randoms, rng.permutation(n), rng.random(n)))
-        by_length.setdefault(n, []).append(i)
 
     evals: list = [None] * len(series)
     for n, members in by_length.items():
-        # Rows: each album's series, then its shuffle; a value keeps its tie key.
         m = len(members)
+        # Per album, from its own stream: k random orderings and the shuffle
+        # (the draws of k + 1 ``permutation`` calls), then one tie key per track.
+        rngs = [np.random.default_rng(seeds[i]) for i in members]
+        ranks = np.tile(np.arange(n), (k + 1, 1))
+        orders = np.stack([rng.permuted(ranks, axis=1) for rng in rngs])
+        keys = np.stack([rng.random(n) for rng in rngs])
         y = normalize_minmax(np.stack([series[i][1] for i in members]))
-        shuffles = np.stack([draws[i][1] for i in members])
-        keys = np.stack([draws[i][2] for i in members])
         targets = np.stack([sample_template(curve, n) for curve in curves])
-        orderings = _sorted_matchings(
-            np.concatenate((y, np.take_along_axis(y, shuffles, axis=1))),
-            np.concatenate((keys, np.take_along_axis(keys, shuffles, axis=1))),
-            targets,
-        )
-        deviations = np.abs(np.take_along_axis(y[:, None, :], orderings[:m], axis=2) - targets)
+        fits = _sorted_matchings(y, keys, targets)
+        deviations = np.abs(np.take_along_axis(y[:, None, :], fits, axis=2) - targets)
         bottlenecks, totals = deviations.max(axis=2).tolist(), deviations.sum(axis=2).tolist()
+        # Refitting the shuffled album gives these fits relabelled: shuffled
+        # position j holds track shuffle[j] with its value and tie key.
+        unshuffle = np.argsort(orders[:, k], axis=1)
+        shuffled_fits = np.take_along_axis(unshuffle[:, None, :], fits, axis=2)
         # Rows: every album's k learned fits, its k random orderings, its k
         # shuffled fits; each scored by its best of k against the identity.
-        candidates = np.concatenate((orderings[:m], [draws[i][0] for i in members], orderings[m:]))
+        candidates = np.concatenate((fits, orders[:, :k], shuffled_fits))
         distances = _edit_distances(candidates.reshape(-1, n), np.arange(n))
         scores = (1.0 / (1.0 + distances.reshape(3, m, k).min(axis=2))).tolist()
         for a, i in enumerate(members):

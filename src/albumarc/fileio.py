@@ -45,12 +45,9 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def write_json(path, doc: dict, provenance: dict | None = None) -> None:
+def write_json(path, doc: dict, provenance: dict) -> None:
     """Write a JSON artifact, embedding provenance under its own key."""
-    if provenance is not None:
-        doc = dict(doc)
-        doc["provenance"] = provenance
-    atomic_write_text(path, canonical_json(doc))
+    atomic_write_text(path, canonical_json({**doc, "provenance": provenance}))
 
 
 def provenance_comment(provenance: dict) -> str:
@@ -58,25 +55,28 @@ def provenance_comment(provenance: dict) -> str:
     return f"# {parts}\n"
 
 
-def write_table(path, render, provenance: dict | None = None) -> None:
+def write_table(path, render, provenance: dict) -> None:
     """Write a text table atomically; ``render(fh)`` emits the body.
 
     A ``# key=value ...`` provenance comment line is prepended;
     :func:`read_table` skips leading comment lines.
     """
     buf = io.StringIO()
-    if provenance is not None:
-        buf.write(provenance_comment(provenance))
+    buf.write(provenance_comment(provenance))
     render(buf)
     atomic_write_text(path, buf.getvalue())
 
 
 def read_json(path) -> dict:
+    """The JSON document at ``path``; text that is not UTF-8 or not JSON
+    raises ConfigError naming the file."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 
 def read_table(path):

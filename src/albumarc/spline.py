@@ -60,17 +60,8 @@ def natural_second_derivatives(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     h = np.diff(xs)
     # Interior equations: h[i-1]/6*m[i-1] + (h[i-1]+h[i])/3*m[i] + h[i]/6*m[i+1]
     #   = dy/dx difference of adjacent segments.
-    a = np.zeros((q - 2, q - 2))
-    rhs = np.zeros(q - 2)
-    slopes = np.diff(ys) / h
-    for i in range(1, q - 1):
-        row = i - 1
-        a[row, row] = (h[i - 1] + h[i]) / 3.0
-        if row > 0:
-            a[row, row - 1] = h[i - 1] / 6.0
-        if row < q - 3:
-            a[row, row + 1] = h[i] / 6.0
-        rhs[row] = slopes[i] - slopes[i - 1]
+    a = np.diag((h[:-1] + h[1:]) / 3.0) + np.diag(h[1:-1] / 6.0, 1) + np.diag(h[1:-1] / 6.0, -1)
+    rhs = np.diff(np.diff(ys) / h)
     m[1:-1] = np.linalg.solve(a, rhs)
     return m
 

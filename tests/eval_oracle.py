@@ -5,6 +5,9 @@ as one sort per album length: each template sampled once per album length,
 then per album k random orderings, the shuffle and one tie key per track,
 drawn in that order from the album's stream, and k sorted matchings of the
 values and k of the shuffled values, each built by Python's ``sorted``.
+The package fits each album once and takes the shuffled baseline as those
+fits relabelled by the shuffle, a uniformly random permutation; this oracle
+refits the shuffled values on their own, which checks that relabelling.
 Edit distances come from the quadratic dynamic program, one candidate at a
 time, where ``albumarc.evaluation`` scores every candidate of an album
 length in one pass of its lane-packed bit-parallel kernel.

@@ -1,6 +1,7 @@
 """Tests for ordering metrics, significance procedure, and template evaluation."""
 
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -300,9 +301,10 @@ class TestEvaluateTemplates:
             assert lengths[album.album_id] == len(album)
 
     def test_fits_reach_fit_ordering_optima(self, eval_setup, monkeypatch):
-        # evaluate_templates fits each album length's rows by one sorted
-        # matching; every learned and shuffled row must reach fit_ordering's
-        # bottleneck exactly and its total deviation up to summation order.
+        # evaluate_templates fits each album length's albums by one sorted
+        # matching, once (the shuffled fits are those fits relabelled); every
+        # row must reach fit_ordering's bottleneck exactly and its total
+        # deviation up to summation order.
         ds, essence, _ = eval_setup
         templates = TemplateSet(xs=KNOTS, templates=np.stack([1.0 - KNOTS, KNOTS, WAVY]))
         batches = []
@@ -318,8 +320,11 @@ class TestEvaluateTemplates:
         monkeypatch.undo()
 
         curves = templates.curves()
-        assert len(batches) == len({e.length for e in report.albums})
-        assert sum(y.shape[0] for y, _ in batches) == 2 * len(report.albums)
+        per_length = Counter(e.length for e in report.albums)
+        assert len(batches) == len(per_length)
+        # One call per album length, over that length's albums only.
+        assert sorted(y.shape for y, _ in batches) == sorted((m, n) for n, m in per_length.items())
+        assert sum(y.shape[0] for y, _ in batches) == len(report.albums)
         for y, orderings in batches:
             for row, fits in zip(y, orderings):
                 for curve, x in zip(curves, fits):
@@ -410,6 +415,13 @@ class TestEvaluateTemplates:
         with_short = Dataset(albums=ds.albums + (short,))
         with pytest.raises(ValueError, match="album 'short-album' has 1 track"):
             evaluate_templates(with_short, {**essence, "t1": 0.5}, templates, seed=0)
+
+    def test_non_scalar_essence_is_named(self, eval_setup):
+        # One-element tuples per track, the shape EssenceSeries rows take.
+        ds, essence, templates = eval_setup
+        wrapped = {track: (value,) for track, value in essence.items()}
+        with pytest.raises(ValueError, match="album 'synth-00000'.*one scalar per track"):
+            evaluate_templates(ds, wrapped, templates, seed=0)
 
     def test_custom_alpha_recorded(self, eval_setup):
         ds, essence, templates = eval_setup
