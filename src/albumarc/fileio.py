@@ -1,16 +1,17 @@
 """Deterministic, atomic file output and config fingerprinting.
 
 Every artifact embeds the sha256 of the config document plus the effective
-seed, so a run can be reproduced from any of its outputs.  Writes go to a
-temp file in the target directory and are renamed into place, so a crashed
-run never leaves a partial file.
+seed, so a run can be reproduced from any of its outputs.  Every write goes
+through one path: a temp file in the target directory, given the mode a file
+made by ``open()`` gets, is filled and renamed into place, so a crashed run
+never leaves a partial file.  Tables are rendered straight into that temp
+file, row by row, so writing one holds no copy of its text in memory.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import itertools
 import json
 import os
@@ -31,18 +32,35 @@ def config_hash(doc) -> str:
     return hashlib.sha256(compact.encode("utf-8")).hexdigest()
 
 
-def atomic_write_text(path, text: str) -> None:
+def _atomic_write(path, render) -> None:
+    """Write ``path`` atomically: ``render(fh)`` fills a temp file in the
+    target directory, which is then renamed into place.  On any exception
+    the temp file is removed and an existing ``path`` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            # mkstemp makes the file owner-only, and os.replace keeps that mode.
+            os.fchmod(fd, 0o666 & ~_umask())
+            render(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _umask() -> int:
+    """The process umask.  Reading it means setting it, so it is 0 between
+    the two calls; the package writes from one thread."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+def atomic_write_text(path, text: str) -> None:
+    _atomic_write(path, lambda fh: fh.write(text))
 
 
 def write_json(path, doc: dict, provenance: dict) -> None:
@@ -61,10 +79,12 @@ def write_table(path, render, provenance: dict) -> None:
     A ``# key=value ...`` provenance comment line is prepended;
     :func:`read_table` skips leading comment lines.
     """
-    buf = io.StringIO()
-    buf.write(provenance_comment(provenance))
-    render(buf)
-    atomic_write_text(path, buf.getvalue())
+
+    def render_table(fh):
+        fh.write(provenance_comment(provenance))
+        render(fh)
+
+    _atomic_write(path, render_table)
 
 
 def read_json(path) -> dict:
@@ -79,7 +99,7 @@ def read_json(path) -> dict:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 
-def read_table(path):
+def read_table(path, width=None):
     """Yield ``(line number, cells)`` for the header and then each row of a
     CSV table, skipping the leading ``#`` comment lines.
 
@@ -90,7 +110,8 @@ def read_table(path):
     with no header, text that is not UTF-8, a ``csv`` error and a row whose
     cell count differs from the header's raise IngestError.  A leading
     UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports write, is
-    dropped.
+    dropped.  With ``width``, each row after the header yields only its
+    first ``width`` cells; a line without ``"`` is split no further.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
@@ -101,22 +122,23 @@ def read_table(path):
                 comments += 1
             else:
                 raise IngestError(f"{path}: empty file")
-            records = _records(path, itertools.chain([line], fh), comments)
-            line_no, header = next(records)
+            lines = itertools.chain([line], fh)
+            line_no, _, header = next(_records(path, lines, comments))
             yield line_no, header
-            for line_no, row in records:
-                if len(row) != len(header):
+            for line_no, count, row in _records(path, lines, line_no, width):
+                if count != len(header):
                     raise IngestError(
-                        f"{path}:{line_no}: expected {len(header)} columns, got {len(row)}"
+                        f"{path}:{line_no}: expected {len(header)} columns, got {count}"
                     )
                 yield line_no, row
         except UnicodeDecodeError as exc:
             raise IngestError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _records(path, lines, line_no):
-    """Yield ``(line number, cells)`` per CSV record of ``lines``, the
-    physical lines after the first ``line_no``."""
+def _records(path, lines, line_no, width=None):
+    """Yield ``(line number, cell count, first width cells)`` per CSV record
+    of ``lines``, the physical lines after the first ``line_no``; without
+    ``width``, every cell."""
     for line in lines:
         if '"' in line:
             reader = csv.reader(itertools.chain([line], lines))
@@ -125,8 +147,16 @@ def _records(path, lines, line_no):
             except csv.Error as exc:
                 raise IngestError(f"{path}:{line_no + reader.line_num}: {exc}") from None
             line_no += reader.line_num
+            count = len(row)
         else:
             line_no += 1
             line = line.rstrip("\r\n")
-            row = line.split(",") if line else []
-        yield line_no, row
+            if not line:
+                count, row = 0, []
+            elif width is None:
+                row = line.split(",")
+                count = len(row)
+            else:
+                count = line.count(",") + 1
+                row = line.split(",", width)
+        yield line_no, count, row if width is None else row[:width]

@@ -97,7 +97,7 @@ def load_album_table(path) -> Dataset:
     The feature cells are neither parsed nor checked; every other row rule
     of :func:`load_feature_table` applies.
     """
-    return _load_table(path, lambda row: Track(row[1]))
+    return _load_table(path, lambda row: Track(row[1]), width=4)
 
 
 def load_feature_table(path) -> Dataset:
@@ -117,16 +117,17 @@ def _feature_track(row) -> TrackFeatures:
     return TrackFeatures(track_id=row[1], stats=stats)
 
 
-def _load_table(path, make_track) -> Dataset:
+def _load_table(path, make_track, width=None) -> Dataset:
     """Apply every row rule of the feature-table schema to ``path`` and build
     each track with ``make_track(row)``; a ValueError it raises is reported
-    with the row's physical line."""
+    with the row's physical line.  With ``width``, rows hold only their first
+    ``width`` cells (see :func:`read_table`)."""
     by_album: dict[str, list[tuple[int, Track]]] = {}
     positions: dict[str, set[int]] = {}
     album_of: dict[str, str] = {}
     split_votes: dict[str, set[str]] = {}
     dropped = 0
-    rows = read_table(path)
+    rows = read_table(path, width)
     _, header = next(rows)
     if tuple(header) != HEADER:
         raise IngestError(
@@ -330,6 +331,13 @@ def synth_generate(config: SynthConfig, shuffle_orders: bool = False) -> Dataset
     albums = []
     split_of = {}
     scalars: dict[str, dict[str, float]] = {"latent": {}, "latent_noisy": {}, "noise": {}}
+    cells = N_FEATURES * N_STATS
+    # Normals per track: its jitter, one noise per latent slot, the noisy
+    # probe's noise and the pure-noise probe.
+    track_draws = cells + len(SYNTH_LATENT_SLOTS) + 2
+    # Every album's normals go into this one buffer, so that no freed block
+    # of varying size is left between the albums' stats.
+    buffer = np.empty(cells + hi * track_draws)
     for i in range(config.n_albums):
         album_id = f"synth-{i:05d}"
         length = int(rng.integers(lo, hi + 1))
@@ -339,17 +347,23 @@ def synth_generate(config: SynthConfig, shuffle_orders: bool = False) -> Dataset
         # j-th smallest latent, so the latent sequence follows the shape.
         ranks = np.argsort(np.argsort(shape_vals, kind="stable"), kind="stable")
         arranged = np.sort(latents)[ranks]
-        backdrop = rng.standard_normal((N_FEATURES, N_STATS))
+        # One call draws the album's normals in the order per-track calls
+        # would: the backdrop, then each track's.
+        normals = rng.standard_normal(out=buffer[: cells + length * track_draws])
+        backdrop = normals[:cells].reshape(N_FEATURES, N_STATS)
+        per_track = normals[cells:].reshape(length, -1)
+        stats = SYNTH_TRACK_JITTER * per_track[:, :cells].reshape(length, N_FEATURES, N_STATS)
+        stats += backdrop
+        for k, (row, col) in enumerate(SYNTH_LATENT_SLOTS):
+            stats[:, row, col] = arranged + config.noise_sigma * per_track[:, cells + k]
+        latent_noisy = arranged + 0.3 * per_track[:, -2]
         tracks = []
         for j in range(length):
             track_id = f"{album_id}-t{j + 1:02d}"
-            stats = backdrop + SYNTH_TRACK_JITTER * rng.standard_normal((N_FEATURES, N_STATS))
-            for row, col in SYNTH_LATENT_SLOTS:
-                stats[row, col] = arranged[j] + config.noise_sigma * rng.standard_normal()
-            tracks.append(TrackFeatures(track_id=track_id, stats=stats))
+            tracks.append(TrackFeatures(track_id=track_id, stats=stats[j]))
             scalars["latent"][track_id] = float(arranged[j])
-            scalars["latent_noisy"][track_id] = float(arranged[j] + 0.3 * rng.standard_normal())
-            scalars["noise"][track_id] = float(rng.standard_normal())
+            scalars["latent_noisy"][track_id] = float(latent_noisy[j])
+            scalars["noise"][track_id] = float(per_track[j, -1])
         if shuffle_orders:
             tracks = [tracks[j] for j in rng.permutation(length)]
         albums.append(Album(album_id=album_id, tracks=tuple(tracks)))

@@ -211,6 +211,17 @@ class TestPipeline:
         assert svg.count("<polyline") == 2
         assert "scores.tsv" in logs["plot-data"].stdout
 
+    def test_artifacts_get_the_mode_open_gives(self, workspace, tmp_path):
+        # Artifacts are renamed into place from a temp file, which is made
+        # owner-only; they must read like any other new file.
+        ws, out, _, _, _ = workspace
+        with open(tmp_path / "plain", "w"):
+            pass
+        want = (tmp_path / "plain").stat().st_mode
+        written = ["dataset.csv", "scalars.csv", "model.json", "essence.csv", "templates.json",
+                   "eval_report.json", "scores.tsv", "curves.tsv", "curves.svg"]
+        assert {name: (out / name).stat().st_mode for name in written} == dict.fromkeys(written, want)
+
     def test_rerun_is_byte_identical(self, workspace):
         ws, out, config, _, _ = workspace
         before = {

@@ -3,6 +3,7 @@
 import csv
 import io
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from albumarc.ingest import (
 )
 
 from conftest import planted_latent
+from synth_oracle import synth_generate as synth_generate_per_track
 from table_oracle import write_essence_csv
 
 
@@ -366,8 +368,10 @@ def _tables(draw):
 
 class TestReadTable:
     @settings(max_examples=300, deadline=None)
-    @given(text=_tables())
-    def test_same_cells_and_lines_as_csv(self, tmp_path_factory, text):
+    @given(text=_tables(), width=st.sampled_from([None, 1, 2]))
+    def test_same_cells_and_lines_as_csv(self, tmp_path_factory, text, width):
+        # With a width, rows after the header keep their first cells only;
+        # the column count and its error still see every cell.
         path = tmp_path_factory.mktemp("table") / "t.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
@@ -376,13 +380,13 @@ class TestReadTable:
             if expected and len(row) != len(expected[0][1]):
                 error = f"{path}:{line_no}: expected {len(expected[0][1])} columns, got {len(row)}"
                 break
-            expected.append((line_no, row))
+            expected.append((line_no, row[:width] if expected else row))
         else:
             if expected:
                 error = None
         got, got_error = [], None
         try:
-            for record in read_table(path):
+            for record in read_table(path, width):
                 got.append(record)
         except IngestError as exc:
             got_error = str(exc)
@@ -408,6 +412,46 @@ class TestReadTable:
         path.write_text(f'track_id,essence_1\nt1,0.5\n"{long_id}",0.25\n')
         with pytest.raises(IngestError, match=r"e\.csv:3: field larger than field limit \(131072\)$"):
             load_essence_csv(path)
+
+
+class TestWriteTable:
+    PROVENANCE = {"config_sha256": "0" * 64, "seed": 1}
+
+    def test_bytes_are_provenance_line_and_rendered_body(self, tmp_path):
+        ds = synth_generate(SynthConfig(n_albums=5, length_range=(3, 6), seed=2))
+        path = tmp_path / "dataset.csv"
+        write_table(path, lambda fh: write_feature_csv(ds, fh), self.PROVENANCE)
+        body = io.StringIO()
+        write_feature_csv(ds, body)
+        expected = f"# config_sha256={'0' * 64} seed=1\n" + body.getvalue()
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_failed_render_keeps_target_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"old,table\n1,2\n")
+
+        def render(fh):
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["a", "b"])
+            writer.writerows([[j, j * 0.5] for j in range(5000)])
+            raise RuntimeError("render failed")
+
+        with pytest.raises(RuntimeError, match="render failed"):
+            write_table(path, render, self.PROVENANCE)
+        assert path.read_bytes() == b"old,table\n1,2\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+    def test_feature_table_is_written_without_holding_its_text(self, tmp_path, planted_dataset):
+        # The body goes row by row into the temp file: rendering it into one
+        # string first made the peak about 2-3 times the file's size.
+        path = tmp_path / "dataset.csv"
+        tracemalloc.start()
+        try:
+            write_table(path, lambda fh: write_feature_csv(planted_dataset, fh), self.PROVENANCE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
 
 
 class TestAlbumTable:
@@ -678,6 +722,25 @@ class TestSynthGenerate:
             for track in album.tracks:
                 assert ds.scalar_features["latent"][track.track_id] == planted_latent(track)
         assert ascending < len(ds.albums)
+
+    @pytest.mark.parametrize("shape", LATENT_SHAPES)
+    @pytest.mark.parametrize(
+        "noise_sigma, shuffle_orders, length_range, n_albums",
+        [(0.0, False, (3, 20), 30), (0.2, True, (3, 20), 30), (0.05, False, (7, 8), 12), (0.3, True, (5, 5), 1)],
+    )
+    def test_matches_per_track_draws(self, shape, noise_sigma, shuffle_orders, length_range, n_albums):
+        config = SynthConfig(
+            n_albums=n_albums, length_range=length_range, latent_shape=shape, noise_sigma=noise_sigma, seed=3
+        )
+        got = synth_generate(config, shuffle_orders=shuffle_orders)
+        want = synth_generate_per_track(config, shuffle_orders=shuffle_orders)
+        assert got.split_of == want.split_of
+        assert got.scalar_features == want.scalar_features
+        assert [_ids(a) for a in got.albums] == [_ids(a) for a in want.albums]
+        for album_got, album_want in zip(got.albums, want.albums):
+            assert album_got.album_id == album_want.album_id
+            for t_got, t_want in zip(album_got.tracks, album_want.tracks):
+                assert t_got.stats.tobytes() == t_want.stats.tobytes()
 
     def test_backdrop_shared_within_album(self):
         ds = synth_generate(SynthConfig(n_albums=30, length_range=(5, 10), seed=12))
