@@ -197,9 +197,7 @@ def _load_templates(app: App) -> TemplateSet:
 def _extract_essence(model: EssenceModel, dataset: Dataset) -> tuple[list[str], np.ndarray]:
     """Track ids and their (n, d) essence, one extractor pass per album."""
     track_ids = [t.track_id for album in dataset.albums for t in album.tracks]
-    values = np.vstack(
-        [model.extract_matrix(np.stack([t.flat for t in album.tracks])) for album in dataset.albums]
-    )
+    values = np.vstack([model.extract_matrix(album.features) for album in dataset.albums])
     return track_ids, values
 
 

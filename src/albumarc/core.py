@@ -28,42 +28,17 @@ class Track:
 
 
 @dataclass(frozen=True)
-class TrackFeatures(Track):
-    """A track with its feature-statistics matrix.
-
-    ``stats`` is a ``(75, 7)`` float matrix; rows are audio features, columns
-    are the global statistics in :data:`STAT_NAMES` order.
-    """
-
-    stats: np.ndarray
-
-    def __post_init__(self):
-        stats = np.asarray(self.stats, dtype=np.float64)
-        if stats.shape != (N_FEATURES, N_STATS):
-            raise ValueError(
-                f"track {self.track_id!r}: stats must be {N_FEATURES}x{N_STATS}, "
-                f"got {stats.shape}"
-            )
-        if not np.all(np.isfinite(stats)):
-            raise ValueError(f"track {self.track_id!r}: non-finite feature value")
-        stats.flags.writeable = False
-        object.__setattr__(self, "stats", stats)
-
-    @property
-    def flat(self) -> np.ndarray:
-        """The stats matrix flattened row-major to a 525-vector."""
-        return self.stats.reshape(-1)
-
-
-@dataclass(frozen=True)
 class Album:
     """An ordered collection of tracks; list order is the ground-truth order.
 
-    Tracks are :class:`TrackFeatures` where essence is computed from the
-    features, plain :class:`Track` where only the structure is needed."""
+    ``features`` is a read-only C-ordered ``(len(tracks), 525)`` float matrix
+    whose row ``j`` is track ``j``'s ``(75, 7)`` statistics flattened
+    row-major (features by rows, :data:`STAT_NAMES` by columns), or None
+    where only the album structure is needed."""
 
     album_id: str
     tracks: tuple[Track, ...]
+    features: np.ndarray | None = None
 
     def __post_init__(self):
         tracks = tuple(self.tracks)
@@ -71,6 +46,19 @@ class Album:
         if len(set(ids)) != len(ids):
             raise ValueError(f"album {self.album_id!r}: duplicate track ids")
         object.__setattr__(self, "tracks", tracks)
+        if self.features is None:
+            return
+        features = np.ascontiguousarray(self.features, dtype=np.float64)
+        if features.shape != (len(tracks), N_FEATURES * N_STATS):
+            raise ValueError(
+                f"album {self.album_id!r}: features must be {len(tracks)}x{N_FEATURES * N_STATS}, "
+                f"got {features.shape}"
+            )
+        finite = np.isfinite(features).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"track {ids[np.argmin(finite)]!r}: non-finite feature value")
+        features.flags.writeable = False
+        object.__setattr__(self, "features", features)
 
     def __len__(self) -> int:
         return len(self.tracks)

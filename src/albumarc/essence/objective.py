@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .model import EssenceModel, score_candidates_graph
+from .model import score_candidates_graph
 
 LN2 = float(np.log(2.0))
 
@@ -72,20 +72,3 @@ def batch_loss_graph(
     true_scores = ad.gather_rows(scores, n_sequences * np.arange(n_sets))
     return ad.sub(ad.logsumexp(ad.reshape(scores, (n_sets, n_sequences))), true_scores)
 
-
-def album_loss_graph(
-    model: EssenceModel,
-    x_std: np.ndarray,
-    perms: np.ndarray,
-    ext_params: dict[str, ad.Tensor],
-    sco_params: dict[str, ad.Tensor],
-    dropout_mask: np.ndarray | None = None,
-) -> ad.Tensor:
-    """Scalar contrastive-loss graph for one album.
-
-    ``x_std`` is the standardized (length, in_dim) feature matrix and
-    ``perms`` the (N, length) permutation-index matrix with the true order in
-    row 0.
-    """
-    essence = model.extractor_graph(x_std, ext_params, dropout_mask)
-    return ad.reshape(batch_loss_graph(essence, [len(x_std)], [perms[None]], sco_params), ())

@@ -108,9 +108,9 @@ class Adam:
 
 def input_stats(albums) -> tuple[np.ndarray, np.ndarray]:
     """Per-input mean and std over all tracks, with a floor for dead inputs."""
-    flat = np.stack([t.flat for a in albums for t in a.tracks])
-    mean = flat.mean(axis=0)
-    std = flat.std(axis=0)
+    features = np.concatenate([a.features for a in albums])
+    mean = features.mean(axis=0)
+    std = features.std(axis=0)
     std[std < 1e-8] = 1.0
     return mean, std
 
@@ -155,7 +155,8 @@ def _fit(
     of a batch of albums' losses, one per contrastive set, from their stacked
     data ``x``, their lengths, each album's (sets, N, length) permutation
     array, one dict of parameter tensors (or arrays) per net and an optional
-    stacked dropout mask; ``*_data`` hold (album id, x) pairs.  When
+    stacked dropout mask; ``x`` is a new array each call, which the graph may
+    overwrite.  ``*_data`` hold (album id, x) pairs.  When
     ``dropout_width`` is given, each training album draws a (length,
     dropout_width) keep mask right after its permutations.  Returns the
     history and each net's parameters at the best validation epoch, and logs
@@ -166,7 +167,6 @@ def _fit(
         np.stack([contrastive_permutations(len(x), config.n_sequences, val_rng) for _ in range(n_sets)])
         for _, x in val_data
     ]
-    val_x, val_lengths = _stack(val_data)
     history: list[EpochStats] = []
     best_loss = np.inf
     best_params = [net.params for net in nets]
@@ -195,7 +195,7 @@ def _fit(
                 net.step({name: t.grad / len(batch) for name, t in params.items()})
             epoch_losses.extend(losses.data.tolist())
 
-        losses = loss_graph(val_x, val_lengths, val_perms, [net.params for net in nets], None)
+        losses = loss_graph(*_stack(val_data), val_perms, [net.params for net in nets], None)
         val_loss = float(np.mean(losses.data))
         if not np.isfinite(val_loss):
             raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
@@ -246,18 +246,17 @@ def train(dataset, config: TrainConfig) -> tuple[EssenceModel, list[EpochStats]]
         Adam(model.scorer_params, config.learning_rate, config.weight_decay_scorer),
     ]
 
-    def standardized(albums):
-        return [(a.album_id, model.standardize(np.stack([t.flat for t in a.tracks]))) for a in albums]
-
-    def loss_graph(x_std, lengths, perms, params, dropout_mask):
-        essence = model.extractor_graph(x_std, params[0], dropout_mask)
+    def loss_graph(x, lengths, perms, params, dropout_mask):
+        x -= model.input_mean
+        x /= model.input_std
+        essence = model.extractor_graph(x, params[0], dropout_mask)
         return batch_loss_graph(essence, lengths, perms, params[1])
 
     history, (model.extractor_params, model.scorer_params) = _fit(
         loss_graph,
         nets,
-        standardized(train_albums),
-        standardized(val_albums),
+        [(a.album_id, a.features) for a in train_albums],
+        [(a.album_id, a.features) for a in val_albums],
         config,
         batch_rng,
         val_rng,

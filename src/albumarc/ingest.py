@@ -29,7 +29,6 @@ from .core import (
     STAT_NAMES,
     Album,
     Track,
-    TrackFeatures,
     check_field_types,
     relative_positions,
 )
@@ -92,37 +91,41 @@ def hash_split(album_id: str) -> str:
 
 def load_album_table(path) -> Dataset:
     """Load the album structure of a feature CSV: album and track ids,
-    positions and splits, with each track a plain :class:`Track`.
+    positions and splits, with albums carrying no ``features``.
 
     The feature cells are neither parsed nor checked; every other row rule
     of :func:`load_feature_table` applies.
     """
-    return _load_table(path, lambda row: Track(row[1]), width=4)
+    return _load_table(path, None, width=4)
 
 
 def load_feature_table(path) -> Dataset:
-    """Load the per-track feature CSV into a Dataset of :class:`TrackFeatures`.
+    """Load the per-track feature CSV into a Dataset whose albums carry their
+    tracks' ``features``.
 
     Rows without an album id are dropped (and counted in the log).  Albums
     keep first-seen order; tracks are ordered by ``track_position``.
     """
-    return _load_table(path, _feature_track)
+    return _load_table(path, _feature_row)
 
 
-def _feature_track(row) -> TrackFeatures:
+def _feature_row(row) -> np.ndarray:
     try:
-        stats = np.array(row[4:], dtype=np.float64).reshape(N_FEATURES, N_STATS)
+        values = np.array(row[4:], dtype=np.float64)
     except ValueError:
         raise ValueError("non-numeric feature value") from None
-    return TrackFeatures(track_id=row[1], stats=stats)
+    if not np.isfinite(values).all():
+        raise ValueError(f"track {row[1]!r}: non-finite feature value")
+    return values
 
 
-def _load_table(path, make_track, width=None) -> Dataset:
-    """Apply every row rule of the feature-table schema to ``path`` and build
-    each track with ``make_track(row)``; a ValueError it raises is reported
-    with the row's physical line.  With ``width``, rows hold only their first
-    ``width`` cells (see :func:`read_table`)."""
-    by_album: dict[str, list[tuple[int, Track]]] = {}
+def _load_table(path, parse_features, width=None) -> Dataset:
+    """Apply every row rule of the feature-table schema to ``path``; with
+    ``parse_features``, each album's features are the rows it returns, and a
+    ValueError it raises is reported with the row's physical line.  With
+    ``width``, rows hold only their first ``width`` cells (see
+    :func:`read_table`)."""
+    by_album: dict[str, list[tuple[int, str, np.ndarray | None]]] = {}
     positions: dict[str, set[int]] = {}
     album_of: dict[str, str] = {}
     split_votes: dict[str, set[str]] = {}
@@ -158,21 +161,26 @@ def _load_table(path, make_track, width=None) -> Dataset:
             raise IngestError(
                 f"{path}:{line_no}: track_id {row[1]!r} is already in album {album_of[row[1]]!r}"
             )
-        try:
-            track = make_track(row)
-        except ValueError as exc:
-            raise IngestError(f"{path}:{line_no}: {exc}") from None
-        by_album.setdefault(album_id, []).append((position, track))
+        values = None
+        if parse_features is not None:
+            try:
+                values = parse_features(row)
+            except ValueError as exc:
+                raise IngestError(f"{path}:{line_no}: {exc}") from None
+        by_album.setdefault(album_id, []).append((position, row[1], values))
         split_votes.setdefault(album_id, set()).add(split)
     if dropped:
         log.info("dropped %d rows with missing album_id", dropped)
 
     albums = []
     split_of = {}
-    for album_id, entries in by_album.items():
-        entries.sort(key=lambda e: e[0])
+    for album_id in list(by_album):
+        # Popped, so that each album's rows are freed once stacked.
+        entries = sorted(by_album.pop(album_id), key=lambda e: e[0])
+        tracks = tuple(Track(track_id) for _, track_id, _ in entries)
+        features = None if parse_features is None else np.stack([values for _, _, values in entries])
         try:
-            albums.append(Album(album_id=album_id, tracks=tuple(t for _, t in entries)))
+            albums.append(Album(album_id=album_id, tracks=tracks, features=features))
         except ValueError as exc:
             raise IngestError(f"{path}: album {album_id!r}: {exc}") from None
         votes = split_votes[album_id]
@@ -263,10 +271,12 @@ def drop_tracks_missing(dataset: Dataset, values: dict) -> tuple[Dataset, int]:
     albums = []
     dropped = 0
     for album in dataset.albums:
-        kept = tuple(t for t in album.tracks if t.track_id in values)
+        mask = np.array([t.track_id in values for t in album.tracks], dtype=bool)
+        kept = tuple(t for t, keep in zip(album.tracks, mask) if keep)
         dropped += len(album) - len(kept)
         if kept:
-            albums.append(Album(album_id=album.album_id, tracks=kept))
+            features = None if album.features is None else album.features[mask]
+            albums.append(Album(album_id=album.album_id, tracks=kept, features=features))
     if dropped:
         log.info("dropped %d tracks lacking a probed scalar", dropped)
     return filter_albums(replace(dataset, albums=tuple(albums))), dropped
@@ -360,13 +370,15 @@ def synth_generate(config: SynthConfig, shuffle_orders: bool = False) -> Dataset
         tracks = []
         for j in range(length):
             track_id = f"{album_id}-t{j + 1:02d}"
-            tracks.append(TrackFeatures(track_id=track_id, stats=stats[j]))
+            tracks.append(Track(track_id))
             scalars["latent"][track_id] = float(arranged[j])
             scalars["latent_noisy"][track_id] = float(latent_noisy[j])
             scalars["noise"][track_id] = float(per_track[j, -1])
+        features = stats.reshape(length, cells)
         if shuffle_orders:
-            tracks = [tracks[j] for j in rng.permutation(length)]
-        albums.append(Album(album_id=album_id, tracks=tuple(tracks)))
+            order = rng.permutation(length)
+            tracks, features = [tracks[j] for j in order], features[order]
+        albums.append(Album(album_id=album_id, tracks=tuple(tracks), features=features))
         bucket = i % 10
         split_of[album_id] = "train" if bucket < 8 else ("validation" if bucket == 8 else "test")
     return Dataset(albums=tuple(albums), split_of=split_of, scalar_features=scalars)
@@ -381,9 +393,9 @@ def write_feature_csv(dataset: Dataset, fh) -> None:
     id_writer = csv.writer(ids, lineterminator="\n")
     for album in dataset.albums:
         split = dataset.split_of.get(album.album_id, "")
-        for position, track in enumerate(album.tracks, start=1):
+        for position, (track, row) in enumerate(zip(album.tracks, album.features.tolist()), start=1):
             ids.seek(0)
             ids.truncate()
             id_writer.writerow([album.album_id, track.track_id, position, split])
-            values = repr(track.flat.tolist())[1:-1].replace(", ", ",")
+            values = repr(row)[1:-1].replace(", ", ",")
             fh.write(f"{ids.getvalue()[:-1]},{values}\n")

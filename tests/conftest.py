@@ -16,7 +16,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest
 
+from albumarc.core import N_STATS
 from albumarc.essence import TrainConfig, train
+from albumarc.essence import autodiff as ad
+from albumarc.essence.objective import batch_loss_graph
 from albumarc.ingest import SYNTH_LATENT_SLOTS, SynthConfig, synth_generate
 
 PLANTED_SEED = 11
@@ -65,18 +68,29 @@ def essence_map(model, dataset):
     """track_id -> scalar essence for every track in the dataset."""
     out = {}
     for album in dataset.albums:
-        flat = np.stack([t.flat for t in album.tracks])
-        values = model.extract_matrix(flat)[:, 0]
+        values = model.extract_matrix(album.features)[:, 0]
         for track, value in zip(album.tracks, values):
             out[track.track_id] = float(value)
     return out
 
 
-def planted_latent(track) -> float:
-    """Read the embedded latent back from a synthetic track (noisy if the
-    dataset was generated with noise)."""
+def planted_latent(album) -> np.ndarray:
+    """Read the embedded latents back from a synthetic album's features, one
+    per track in album order (noisy if the dataset was generated with noise)."""
     row, col = SYNTH_LATENT_SLOTS[0]
-    return float(track.stats[row, col])
+    return album.features[:, row * N_STATS + col]
+
+
+def album_loss_graph(model, x_std, perms, ext_params, sco_params, dropout_mask=None):
+    """Scalar contrastive-loss graph for one album: the package's batch loss
+    on a batch of one.
+
+    ``x_std`` is the standardized (length, in_dim) feature matrix and
+    ``perms`` the (N, length) permutation-index matrix with the true order in
+    row 0.
+    """
+    essence = model.extractor_graph(x_std, ext_params, dropout_mask)
+    return ad.reshape(batch_loss_graph(essence, [len(x_std)], [perms[None]], sco_params), ())
 
 
 def pearson(a, b) -> float:

@@ -230,10 +230,9 @@ def _fixed_validation_sets(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     sets = []
     for album in albums:
-        flat = np.stack([t.flat for t in album.tracks])
         for _ in range(sets_per_album):
             perms = contrastive_permutations(len(album), n_sequences, rng)
-            sets.append((flat, perms))
+            sets.append((album.features, perms))
     return sets
 
 
@@ -293,7 +292,7 @@ def train(dataset, config: TrainConfig) -> tuple[EssenceModel, list[EpochStats]]
     adam_sco = Adam(flat_sco.size, config.learning_rate)
     sco_decay = _decay_mask(sco_shapes)
 
-    x_std = [model.standardize(np.stack([t.flat for t in a.tracks])) for a in train_albums]
+    x_std = [model.standardize(a.features) for a in train_albums]
     val_sets = _fixed_validation_sets(
         val_albums, config.n_sequences, config.val_sets_per_album, val_rng
     )

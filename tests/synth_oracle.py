@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from albumarc.core import N_FEATURES, N_STATS, Album, TrackFeatures
+from albumarc.core import N_FEATURES, N_STATS, Album, Track
 from albumarc.ingest import (
     SYNTH_LATENT_SLOTS,
     SYNTH_TRACK_JITTER,
@@ -49,19 +49,21 @@ def synth_generate(config: SynthConfig, shuffle_orders: bool = False) -> Dataset
         ranks = np.argsort(np.argsort(shape_vals, kind="stable"), kind="stable")
         arranged = np.sort(latents)[ranks]
         backdrop = rng.standard_normal((N_FEATURES, N_STATS))
-        tracks = []
+        tracks, rows = [], []
         for j in range(length):
             track_id = f"{album_id}-t{j + 1:02d}"
             stats = backdrop + SYNTH_TRACK_JITTER * rng.standard_normal((N_FEATURES, N_STATS))
             for row, col in SYNTH_LATENT_SLOTS:
                 stats[row, col] = arranged[j] + config.noise_sigma * rng.standard_normal()
-            tracks.append(TrackFeatures(track_id=track_id, stats=stats))
+            tracks.append(Track(track_id))
+            rows.append(stats.reshape(-1))
             scalars["latent"][track_id] = float(arranged[j])
             scalars["latent_noisy"][track_id] = float(arranged[j] + 0.3 * rng.standard_normal())
             scalars["noise"][track_id] = float(rng.standard_normal())
         if shuffle_orders:
-            tracks = [tracks[j] for j in rng.permutation(length)]
-        albums.append(Album(album_id=album_id, tracks=tuple(tracks)))
+            order = rng.permutation(length)
+            tracks, rows = [tracks[j] for j in order], [rows[j] for j in order]
+        albums.append(Album(album_id=album_id, tracks=tuple(tracks), features=np.stack(rows)))
         bucket = i % 10
         split_of[album_id] = "train" if bucket < 8 else ("validation" if bucket == 8 else "test")
     return Dataset(albums=tuple(albums), split_of=split_of, scalar_features=scalars)

@@ -19,11 +19,7 @@ from albumarc.core import EssenceSeries
 from albumarc.essence import TrainConfig, train
 from albumarc.essence import autodiff as ad
 from albumarc.essence.model import EssenceModel, flatten_params, unflatten_params
-from albumarc.essence.objective import (
-    album_loss_graph,
-    contrastive_permutations,
-    mi_lower_bound,
-)
+from albumarc.essence.objective import contrastive_permutations, mi_lower_bound
 from albumarc.evaluation import evaluate_templates, levenshtein, string_edit_score
 from albumarc.fitcurve import fit_ordering, sample_template
 from albumarc.ingest import SynthConfig, synth_generate
@@ -35,6 +31,7 @@ from conftest import (
     PLANTED_SEED,
     TRAIN_SEED,
     SWEEP_KW,
+    album_loss_graph,
     essence_map,
     info_nce_loss,
     validation_mi,

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from albumarc import cli
-from albumarc.core import Album, TrackFeatures
+from albumarc.core import Album, Track
 from albumarc.essence import EssenceModel
 from albumarc.fileio import config_hash
 from albumarc.ingest import FEATURE_COLUMNS, HEADER, SynthConfig, filter_albums, load_feature_table, synth_generate
@@ -327,9 +327,7 @@ class TestPerTrackTables:
         awkward = ["with,comma", 'with"quote', "with\nnewline", " spaced "]
         dataset = synth_generate(SynthConfig(n_albums=10, length_range=(4, 6), seed=3))
         first = dataset.albums[0]
-        tracks = tuple(
-            TrackFeatures(track_id=f"{awkward[j % 4]}{j}", stats=t.stats) for j, t in enumerate(first.tracks)
-        )
+        tracks = tuple(Track(f"{awkward[j % 4]}{j}") for j in range(len(first)))
         ids = [t.track_id for t in tracks]
         scalars = {
             "tempo": {tid: 0.1 * j for j, tid in enumerate(ids)},
@@ -337,7 +335,7 @@ class TestPerTrackTables:
             "mood": {"only,here": 0.25, ids[0]: 1e-300},
         }
         dataset = dataclasses.replace(
-            dataset, albums=(Album(first.album_id, tracks), *dataset.albums[1:]), scalar_features=scalars
+            dataset, albums=(Album(first.album_id, tracks, first.features), *dataset.albums[1:]), scalar_features=scalars
         )
         monkeypatch.setattr(cli, "synth_generate", lambda config, shuffle_orders: dataset)
         config = tmp_path / "config.json"

@@ -14,43 +14,18 @@ from albumarc.core import (
     Album,
     EssenceSeries,
     Ordering,
-    TrackFeatures,
+    Track,
     normalize_minmax,
     relative_positions,
 )
 
 
-def make_track(track_id="t1", fill=0.0):
-    return TrackFeatures(track_id=track_id, stats=np.full((N_FEATURES, N_STATS), fill))
+def make_track(track_id="t1"):
+    return Track(track_id=track_id)
 
 
-class TestTrackFeatures:
-    def test_layout_constants(self):
-        assert N_FEATURES == 75
-        assert N_STATS == 7
-        assert len(STAT_NAMES) == 7
-        assert STAT_NAMES[0] == "mean" and STAT_NAMES[-1] == "max"
-
-    def test_flat_is_row_major_525_vector(self):
-        stats = np.arange(N_FEATURES * N_STATS, dtype=float).reshape(N_FEATURES, N_STATS)
-        track = TrackFeatures(track_id="t", stats=stats)
-        assert track.flat.shape == (525,)
-        assert track.flat[7] == stats[1, 0]
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="75x7"):
-            TrackFeatures(track_id="t", stats=np.zeros((7, 75)))
-
-    def test_rejects_non_finite(self):
-        stats = np.zeros((N_FEATURES, N_STATS))
-        stats[3, 4] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            TrackFeatures(track_id="t", stats=stats)
-
-    def test_stats_are_immutable(self):
-        track = make_track()
-        with pytest.raises(ValueError):
-            track.stats[0, 0] = 1.0
+def make_features(n, fill=0.0):
+    return np.full((n, N_FEATURES * N_STATS), fill)
 
 
 class TestAlbum:
@@ -66,6 +41,39 @@ class TestAlbum:
     def test_length_filter_bounds(self):
         assert MIN_ALBUM_LEN == 3
         assert MAX_ALBUM_LEN == 20
+
+    def test_layout_constants(self):
+        assert N_FEATURES == 75
+        assert N_STATS == 7
+        assert len(STAT_NAMES) == 7
+        assert STAT_NAMES[0] == "mean" and STAT_NAMES[-1] == "max"
+
+    def test_features_are_row_major_stats(self):
+        stats = np.arange(2 * N_FEATURES * N_STATS, dtype=float).reshape(2, N_FEATURES, N_STATS)
+        album = Album("a", (make_track("t0"), make_track("t1")), features=stats.reshape(2, -1))
+        assert album.features.shape == (2, 525)
+        assert album.features.flags.c_contiguous
+        for j in range(2):
+            assert album.features[j, 7] == stats[j, 1, 0]
+
+    def test_rejects_wrong_feature_shape(self):
+        with pytest.raises(ValueError, match="features must be 2x525"):
+            Album("a", (make_track("t0"), make_track("t1")), features=make_features(3))
+        with pytest.raises(ValueError, match="features must be 1x525"):
+            Album("a", (make_track(),), features=np.zeros((N_STATS, N_FEATURES)))
+
+    def test_rejects_non_finite_feature_naming_track(self):
+        features = make_features(3)
+        features[1, 40] = np.nan
+        features[2, 0] = np.inf
+        tracks = tuple(make_track(f"t{j}") for j in range(3))
+        with pytest.raises(ValueError, match="track 't1': non-finite feature value"):
+            Album("a", tracks, features=features)
+
+    def test_features_are_read_only(self):
+        album = Album("a", (make_track(),), features=make_features(1))
+        with pytest.raises(ValueError):
+            album.features[0, 0] = 1.0
 
 
 class TestEssenceSeries:

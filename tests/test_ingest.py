@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from albumarc.cli import _write_rows as write_cli_table
-from albumarc.core import N_FEATURES, N_STATS, Album, Track, TrackFeatures, relative_positions
+from albumarc.core import N_FEATURES, N_STATS, Album, Track, relative_positions
 from albumarc.errors import IngestError
 from albumarc.fileio import read_table, write_table
 from albumarc.ingest import (
@@ -40,14 +40,12 @@ from synth_oracle import synth_generate as synth_generate_per_track
 from table_oracle import write_essence_csv
 
 
-def _track(track_id, fill=0.0):
-    return TrackFeatures(track_id=track_id, stats=np.full((N_FEATURES, N_STATS), fill))
-
-
-def _album(album_id, n, fill=0.0):
+def _album(album_id, n):
+    """An album of n tracks whose j-th feature row is all j."""
     return Album(
         album_id=album_id,
-        tracks=tuple(_track(f"{album_id}-t{j:02d}", fill) for j in range(n)),
+        tracks=tuple(Track(f"{album_id}-t{j:02d}") for j in range(n)),
+        features=np.repeat(np.arange(n, dtype=np.float64)[:, None], N_FEATURES * N_STATS, axis=1),
     )
 
 
@@ -83,9 +81,9 @@ def _write_feature_csv_per_cell(dataset, fh):
     writer.writerow(HEADER)
     for album in dataset.albums:
         split = dataset.split_of.get(album.album_id, "")
-        for position, track in enumerate(album.tracks, start=1):
+        for position, (track, features) in enumerate(zip(album.tracks, album.features), start=1):
             row = [album.album_id, track.track_id, str(position), split]
-            row.extend(repr(float(x)) for x in track.flat)
+            row.extend(repr(float(x)) for x in features)
             writer.writerow(row)
 
 
@@ -107,8 +105,7 @@ class TestSchema:
         for orig, back in zip(ds.albums, loaded.albums):
             assert back.album_id == orig.album_id
             assert _ids(back) == _ids(orig)
-            for t_orig, t_back in zip(orig.tracks, back.tracks):
-                np.testing.assert_array_equal(t_back.stats, t_orig.stats)
+            np.testing.assert_array_equal(back.features, orig.features)
         assert loaded.split_of == ds.split_of
 
     def test_roundtrip_preserves_written_text(self, tmp_path):
@@ -144,9 +141,8 @@ class TestSchema:
         assert [a.album_id for a in got.albums] == [a.album_id for a in want.albums]
         assert got.split_of == want.split_of
         for album_got, album_want in zip(got.albums, want.albums):
-            for t_got, t_want in zip(album_got.tracks, album_want.tracks):
-                assert type(t_got) is type(t_want)
-                np.testing.assert_array_equal(getattr(t_got, "stats", 0), getattr(t_want, "stats", 0))
+            assert (album_got.features is None) == (album_want.features is None)
+            np.testing.assert_array_equal(album_got.features, album_want.features)
 
     def test_tracks_ordered_by_position_not_file_order(self, tmp_path):
         rows = [
@@ -488,8 +484,9 @@ class TestAlbumTable:
     def test_tracks_carry_no_features(self, tmp_path):
         path = tmp_path / "d.csv"
         self._messy_table(path)
-        tracks = [t for a in load_album_table(path).albums for t in a.tracks]
-        assert all(type(t) is Track for t in tracks)
+        albums = load_album_table(path).albums
+        assert all(a.features is None for a in albums)
+        assert all(type(t) is Track for a in albums for t in a.tracks)
 
 
 class TestWriteFeatureCsv:
@@ -502,10 +499,10 @@ class TestWriteFeatureCsv:
 
     def test_matches_per_cell_oracle_on_awkward_values_and_ids(self):
         awkward = np.array([-0.0, 5e-324, 1e16, 0.1, -1.5e-300, 1.7976931348623157e308, 123456789.0])
-        stats = np.resize(awkward, (N_FEATURES, N_STATS))
+        row = np.resize(awkward, (1, N_FEATURES * N_STATS))
         ids = ['plain', 'with,comma', 'with"quote', 'with\nnewline', ' spaced ', '']
         albums = tuple(
-            Album(album_id=f'album{i},"x"', tracks=(TrackFeatures(track_id=tid, stats=stats if i % 2 else -stats),))
+            Album(album_id=f'album{i},"x"', tracks=(Track(tid),), features=row if i % 2 else -row)
             for i, tid in enumerate(ids)
         )
         ds = Dataset(albums=albums, split_of={albums[0].album_id: "train", albums[2].album_id: "test"})
@@ -583,12 +580,14 @@ class TestFiltering:
 
     def test_drop_tracks_missing_counts_and_refilters(self):
         ds = Dataset(albums=(_album("a", 4), _album("b", 3)))
-        values = {tid: 0.0 for tid in _ids(ds.albums[0])}
+        values = {tid: 0.0 for j, tid in enumerate(_ids(ds.albums[0])) if j != 1}
         values.update({tid: 0.0 for tid in _ids(ds.albums[1])[:2]})
         kept, dropped = drop_tracks_missing(ds, values)
-        assert dropped == 1
+        assert dropped == 2
         # Album "b" shrinks to 2 tracks and falls below the length floor.
         assert [a.album_id for a in kept.albums] == ["a"]
+        # Album "a" keeps its tracks 0, 2 and 3 with their feature rows.
+        np.testing.assert_array_equal(kept.albums[0].features, ds.albums[0].features[[0, 2, 3]])
 
     def test_drop_tracks_missing_noop_when_covered(self):
         ds = Dataset(albums=(_album("a", 4),))
@@ -647,15 +646,14 @@ class TestSynthGenerate:
         assert [a.album_id for a in first.albums] == [a.album_id for a in second.albums]
         for a1, a2 in zip(first.albums, second.albums):
             assert _ids(a1) == _ids(a2)
-            for t1, t2 in zip(a1.tracks, a2.tracks):
-                np.testing.assert_array_equal(t1.stats, t2.stats)
+            np.testing.assert_array_equal(a1.features, a2.features)
         assert first.scalar_features == second.scalar_features
         assert first.split_of == second.split_of
 
     def test_seed_changes_data(self):
         a = synth_generate(SynthConfig(n_albums=3, length_range=(3, 3), seed=0))
         b = synth_generate(SynthConfig(n_albums=3, length_range=(3, 3), seed=1))
-        assert not np.array_equal(a.albums[0].tracks[0].stats, b.albums[0].tracks[0].stats)
+        assert not np.array_equal(a.albums[0].features[0], b.albums[0].features[0])
 
     def test_lengths_respect_range(self):
         ds = synth_generate(SynthConfig(n_albums=50, length_range=(4, 6), seed=2))
@@ -666,7 +664,7 @@ class TestSynthGenerate:
     def test_rising_noiseless_planted_latent_ascends(self):
         ds = synth_generate(SynthConfig(n_albums=12, length_range=(3, 8), seed=5))
         for album in ds.albums:
-            planted = [planted_latent(t) for t in album.tracks]
+            planted = planted_latent(album)
             assert all(a < b for a, b in zip(planted, planted[1:]))
 
     @pytest.mark.parametrize("shape", LATENT_SHAPES)
@@ -675,7 +673,7 @@ class TestSynthGenerate:
             SynthConfig(n_albums=10, length_range=(3, 9), latent_shape=shape, seed=6)
         )
         for album in ds.albums:
-            planted = np.array([planted_latent(t) for t in album.tracks])
+            planted = planted_latent(album)
             shape_vals = latent_shape_values(shape, len(album))
             expected = np.argsort(np.argsort(shape_vals, kind="stable"), kind="stable")
             got = np.argsort(np.argsort(planted, kind="stable"), kind="stable")
@@ -684,23 +682,24 @@ class TestSynthGenerate:
     def test_all_slots_carry_the_same_latent(self):
         ds = synth_generate(SynthConfig(n_albums=4, length_range=(3, 5), seed=7))
         for album in ds.albums:
-            for track in album.tracks:
-                values = [track.stats[r, c] for r, c in SYNTH_LATENT_SLOTS]
+            stats = album.features.reshape(len(album), N_FEATURES, N_STATS)
+            for track_stats in stats:
+                values = [track_stats[r, c] for r, c in SYNTH_LATENT_SLOTS]
                 assert len(set(values)) == 1
 
     def test_scalars_match_planted_latent_when_noiseless(self):
         ds = synth_generate(SynthConfig(n_albums=5, length_range=(3, 6), seed=8))
         for album in ds.albums:
-            for track in album.tracks:
-                assert ds.scalar_features["latent"][track.track_id] == planted_latent(track)
+            for track, planted in zip(album.tracks, planted_latent(album)):
+                assert ds.scalar_features["latent"][track.track_id] == planted
 
     def test_noise_perturbs_embedded_latent(self):
         cfg = SynthConfig(n_albums=20, length_range=(5, 10), noise_sigma=0.25, seed=9)
         ds = synth_generate(cfg)
         diffs = [
-            planted_latent(t) - ds.scalar_features["latent"][t.track_id]
+            planted - ds.scalar_features["latent"][t.track_id]
             for a in ds.albums
-            for t in a.tracks
+            for t, planted in zip(a.tracks, planted_latent(a))
         ]
         assert np.std(diffs) == pytest.approx(0.25, rel=0.3)
 
@@ -715,12 +714,12 @@ class TestSynthGenerate:
         ds = synth_generate(cfg, shuffle_orders=True)
         ascending = 0
         for album in ds.albums:
-            planted = [planted_latent(t) for t in album.tracks]
+            planted = planted_latent(album)
             if all(a < b for a, b in zip(planted, planted[1:])):
                 ascending += 1
-            # Track ids travel with their tracks, so the probe map stays valid.
-            for track in album.tracks:
-                assert ds.scalar_features["latent"][track.track_id] == planted_latent(track)
+            # Track ids travel with their features, so the probe map stays valid.
+            for track, value in zip(album.tracks, planted):
+                assert ds.scalar_features["latent"][track.track_id] == value
         assert ascending < len(ds.albums)
 
     @pytest.mark.parametrize("shape", LATENT_SHAPES)
@@ -739,8 +738,7 @@ class TestSynthGenerate:
         assert [_ids(a) for a in got.albums] == [_ids(a) for a in want.albums]
         for album_got, album_want in zip(got.albums, want.albums):
             assert album_got.album_id == album_want.album_id
-            for t_got, t_want in zip(album_got.tracks, album_want.tracks):
-                assert t_got.stats.tobytes() == t_want.stats.tobytes()
+            assert album_got.features.tobytes() == album_want.features.tobytes()
 
     def test_backdrop_shared_within_album(self):
         ds = synth_generate(SynthConfig(n_albums=30, length_range=(5, 10), seed=12))
@@ -750,7 +748,7 @@ class TestSynthGenerate:
         within = []
         album_means = []
         for album in ds.albums:
-            stack = np.stack([t.stats for t in album.tracks])
+            stack = album.features.reshape(len(album), N_FEATURES, N_STATS)
             within.append(stack.std(axis=0)[mask].mean())
             album_means.append(stack.mean(axis=0)[mask])
         # Tracks scatter around their album's backdrop by roughly the jitter
