@@ -1,21 +1,22 @@
 """Command-line pipeline: synth, train, probe, extract-templates, fit,
 evaluate, reorder, plot-data.
 
-All commands read a versioned JSON config (unknown keys rejected), route all
-randomness through one seed, write outputs atomically, and embed the config
-hash plus effective seed in every artifact, so reruns with the same config
-and seed are byte-identical.
+All commands read a versioned JSON config, checked whole when it is loaded
+(unknown keys and bad values rejected), route all randomness through one
+seed, write outputs atomically, and embed the config hash plus effective
+seed in every artifact, so reruns with the same config and seed are
+byte-identical.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
 import logging
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import click
@@ -35,6 +36,7 @@ from .fileio import (
 )
 from .fitcurve import fit_ordering
 from .ingest import (
+    SPLITS,
     Dataset,
     SynthConfig,
     drop_tracks_missing,
@@ -53,18 +55,57 @@ log = logging.getLogger(__name__)
 
 CONFIG_VERSION = 1
 
-_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
-_GA_KEYS = {f.name for f in dataclasses.fields(GAConfig)}
-_SYNTH_KEYS = {f.name for f in dataclasses.fields(SynthConfig)} | {"shuffle_orders"}
+
+def _dims(key, dims):
+    if not (isinstance(dims, list) and dims):
+        raise TypeError(f"dims must be a non-empty list of essence dimensions, got {dims!r}")
+    for d in dims:
+        TrainConfig(essence_dim=d)
+    if len(set(dims)) < len(dims):
+        raise ConfigError(f"config train.dims repeats an essence dimension: {dims!r}")
+
+
+def _features(key, features):
+    if not (isinstance(features, list) and features and all(isinstance(f, str) for f in features)):
+        raise TypeError(f"features must be a non-empty list of feature names, got {features!r}")
+    if len(set(features)) < len(features):
+        raise ConfigError(f"config probe.features repeats a feature name: {features!r}")
+
+
+def _split_name(key, split):
+    if split != "all" and split not in SPLITS:
+        raise ValueError(f"unknown split {split!r}")
+
+
+def _template(key, template):
+    if template != "all":
+        check_type(key, template, "int")
+
+
+# The keys the CLI reads itself: section -> key -> (default, check of the
+# key and its value).  Where the default is None, null stands for absent.
+_CLI_KEYS = {
+    "paths": dict.fromkeys(
+        ("dataset", "scalars", "essence", "model", "templates", "eval_report"),
+        (None, partial(check_type, kind="str")),
+    ),
+    "synth": {"shuffle_orders": (False, partial(check_type, kind="bool"))},
+    "train": {"dims": (None, _dims)},
+    "probe": {"features": (None, _features)},
+    "ga": {"split": ("train", _split_name), "knots": (None, lambda key, knots: check_knots(knots))},
+    "evaluate": {
+        "alpha": (0.05, lambda key, alpha: check_alpha(alpha)),
+        "split": ("test", _split_name),
+        "seed": (0, partial(check_type, kind="int")),
+    },
+    "reorder": {"template": ("all", _template)},
+}
+# The stage sections, whose other keys are the fields of their config.
+_STAGES = {"synth": SynthConfig, "train": TrainConfig, "ga": GAConfig}
 
 SECTION_KEYS = {
-    "paths": {"dataset", "scalars", "essence", "model", "templates", "eval_report"},
-    "synth": _SYNTH_KEYS,
-    "train": _TRAIN_KEYS | {"dims"},
-    "probe": {"features"},
-    "ga": _GA_KEYS | {"split", "knots"},
-    "evaluate": {"alpha", "split", "seed"},
-    "reorder": {"template"},
+    name: set(keys) | ({f.name for f in dataclasses.fields(_STAGES[name])} if name in _STAGES else set())
+    for name, keys in _CLI_KEYS.items()
 }
 
 
@@ -78,48 +119,35 @@ class App:
 
     @property
     def config(self) -> dict:
+        """The checked config (see :func:`_load_config`), loaded on first use."""
         if self._config is None:
             if self.config_path is None:
                 raise ConfigError("this command requires --config")
-            self._config = _load_config(self.config_path)
-            self._hash = config_hash(self._config)
+            self._hash, self._config = _load_config(self.config_path, self.seed)
         return self._config
 
-    @property
-    def hash(self) -> str:
+    def provenance(self, seed: int | None = None) -> dict:
+        """The config hash and ``seed``, by default --seed if given, else 0."""
         self.config
-        return self._hash
-
-    def section(self, name: str) -> dict:
-        return self.config.get(name, {})
-
-    def effective_seed(self, name: str | None = None) -> int:
-        """--seed if given, else the seed of section ``name`` (default 0)."""
-        if self.seed is not None:
-            return self.seed
-        seed = self.section(name).get("seed", 0) if name else 0
-        with _config_section(name):
-            check_type("seed", seed, "int")
-        return seed
-
-    def provenance(self, seed: int) -> dict:
-        return {"config_sha256": self.hash, "seed": seed}
+        return {"config_sha256": self._hash, "seed": (self.seed or 0) if seed is None else seed}
 
     def path(self, key: str, required: bool = True) -> Path | None:
-        value = self.section("paths").get(key)
+        """paths.``key``, relative to the config's directory."""
+        value = self.config[f"paths.{key}"]
         if value is None:
             if required:
                 raise ConfigError(f"config paths.{key} is required for this command")
             return None
-        with _config_section("paths"):
-            check_type(key, value, "str")
-        p = Path(value)
-        if not p.is_absolute():
-            p = self.config_path.parent / p
-        return p
+        return self.config_path.parent / value
 
 
-def _load_config(path: Path) -> dict:
+def _load_config(path: Path, seed: int | None) -> tuple[str, dict]:
+    """The config at ``path``, checked whole: its hash and a dict of its
+    values.  The dict holds each key of :data:`_CLI_KEYS` as
+    ``"section.key"``, given or defaulted; each stage section's config under
+    the section's name; and each stage key the section gives as
+    ``"section.key"``.  A ``seed`` that is not None replaces every seed, once
+    the config's own seeds are checked."""
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -142,29 +170,24 @@ def _load_config(path: Path) -> dict:
             raise ConfigError(
                 f"{path}: unknown key(s) in section {key!r}: {sorted(unknown)}"
             )
-    return doc
-
-
-@contextlib.contextmanager
-def _config_section(name: str):
-    """Report bad values met while building a config from section ``name``
-    as config errors."""
-    try:
-        yield
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config section {name!r}: {exc}") from None
-
-
-def _section_config(app: App, name: str, cls, **overrides):
-    """The config dataclass ``cls`` built from section ``name``: the section's
-    values for ``cls``'s fields (JSON arrays as tuples), the effective seed,
-    then ``overrides``."""
-    section = app.section(name)
-    with _config_section(name):
-        kwargs = {f.name: section[f.name] for f in dataclasses.fields(cls) if f.name in section}
-        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in kwargs.items()}
-        kwargs.update(seed=app.effective_seed(name), **overrides)
-        return cls(**kwargs)
+    config = {}
+    for name, keys in _CLI_KEYS.items():
+        section = doc.get(name, {})
+        try:
+            for key, (default, check) in keys.items():
+                value = config[f"{name}.{key}"] = section.get(key, default)
+                if value is not None or default is not None:
+                    check(key, value)
+            if name in _STAGES:
+                given = {k: tuple(v) if isinstance(v, list) else v for k, v in section.items() if k not in keys}
+                stage = _STAGES[name](**given)
+                config.update((f"{name}.{k}", getattr(stage, k)) for k in given)
+                config[name] = stage if seed is None else dataclasses.replace(stage, seed=seed)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config section {name!r}: {exc}") from None
+    if seed is not None:
+        config["evaluate.seed"] = seed
+    return config_hash(doc), config
 
 
 def _load_dataset(app: App, features: bool) -> Dataset:
@@ -222,12 +245,10 @@ def _scalar_essence(app: App, dataset: Dataset) -> dict:
     return dict(zip(track_ids, _scalar_column(source, values).tolist()))
 
 
-def _split(app: App, dataset: Dataset, name: str, default: str) -> Dataset:
-    """The albums in section ``name``'s split; "all" keeps every album."""
-    split = app.section(name).get("split", default)
+def _split(dataset: Dataset, split: str) -> Dataset:
+    """The albums in ``split``; "all" keeps every album."""
     if split != "all":
-        with _config_section(name):
-            dataset = dataset.subset(split)
+        dataset = dataset.subset(split)
     if not len(dataset):
         raise ConfigError(f"dataset has no albums in split {split!r}")
     return dataset
@@ -315,11 +336,8 @@ def cli(ctx, config_path, seed, out_dir):
 @click.pass_obj
 def synth(app: App):
     """Generate a synthetic dataset with a planted narrative arc."""
-    config = _section_config(app, "synth", SynthConfig)
-    shuffle_orders = app.section("synth").get("shuffle_orders", False)
-    with _config_section("synth"):
-        check_type("shuffle_orders", shuffle_orders, "bool")
-    dataset = synth_generate(config, shuffle_orders=shuffle_orders)
+    config = app.config["synth"]
+    dataset = synth_generate(config, shuffle_orders=app.config["synth.shuffle_orders"])
     prov = app.provenance(config.seed)
     write_table(app.out / "dataset.csv", lambda fh: write_feature_csv(dataset, fh), prov)
     scalars = dataset.scalar_features
@@ -339,15 +357,9 @@ def train_cmd(app: App):
     """Train the essence extractor and sequence scorer.  ``train.dims`` sweeps
     the essence dimension: one model per d, suffixed ``_d{d}``, and
     mi_by_dim.csv."""
-    dims = app.section("train").get("dims")
-    with _config_section("train"):
-        if dims is not None and not (isinstance(dims, list) and dims):
-            raise TypeError(f"dims must be a non-empty list of essence dimensions, got {dims!r}")
-        overrides = [{}] if dims is None else [{"essence_dim": d} for d in dims]
-        configs = [_section_config(app, "train", TrainConfig, **o) for o in overrides]
-    if len({c.essence_dim for c in configs}) < len(configs):
-        raise ConfigError(f"config train.dims repeats an essence dimension: {dims!r}")
-    prov = app.provenance(app.effective_seed("train"))
+    base, dims = app.config["train"], app.config["train.dims"]
+    configs = [base] if dims is None else [dataclasses.replace(base, essence_dim=d) for d in dims]
+    prov = app.provenance(base.seed)
     dataset = _load_dataset(app, features=True)
     summary = []
     for config in configs:
@@ -388,15 +400,8 @@ def train_cmd(app: App):
 @click.pass_obj
 def probe(app: App):
     """Estimate the order information carried by fixed scalar features."""
-    config = _section_config(app, "train", TrainConfig)
-    features = app.section("probe").get("features")
-    if features is not None:
-        with _config_section("probe"):
-            if not (isinstance(features, list) and features
-                    and all(isinstance(f, str) for f in features)):
-                raise TypeError(f"features must be a non-empty list of feature names, got {features!r}")
-        if len(set(features)) < len(features):
-            raise ConfigError(f"config probe.features repeats a feature name: {features!r}")
+    config = app.config["train"]
+    features = app.config["probe.features"]
     prov = app.provenance(config.seed)
     dataset = _load_dataset(app, features=False)
     scalars_path = app.path("scalars")
@@ -422,16 +427,12 @@ def probe(app: App):
 @click.pass_obj
 def extract_templates(app: App):
     """Evolve template curves over the learned essence sequences."""
-    config = _section_config(app, "ga", GAConfig)
-    knots = app.section("ga").get("knots")
-    if knots is not None:
-        with _config_section("ga"):
-            knots = check_knots(knots)
+    config = app.config["ga"]
     prov = app.provenance(config.seed)
-    albums = _split(app, _load_dataset(app, features=_essence_from_model(app)), "ga", "train")
+    albums = _split(_load_dataset(app, features=_essence_from_model(app)), app.config["ga.split"])
     essence = _scalar_essence(app, albums)
     series = [normalize_minmax(values) for _, values in album_values(albums.albums, essence)]
-    template_set, history = evolve_templates(series, config, xs=knots)
+    template_set, history = evolve_templates(series, config, xs=app.config["ga.knots"])
     write_json(app.out / "templates.json", template_set.to_dict(), prov)
     _write_rows(app.out / "ga_history.csv", ["generation", "best_cost"], enumerate(history), prov)
     click.echo(
@@ -448,7 +449,7 @@ def extract_templates(app: App):
 def fit(app: App, values_arg, template_index):
     """Fit one album's essence series to a single template curve."""
     [doc] = _fit_docs(app, _load_templates(app), [template_index], values_arg)
-    write_json(app.out / "fit.json", doc, app.provenance(app.effective_seed()))
+    write_json(app.out / "fit.json", doc, app.provenance())
     click.echo(
         f"template {template_index}: ordering {doc['ordering']} "
         f"(bottleneck {doc['bottleneck']:.6f}, total {doc['total_deviation']:.6f})"
@@ -463,10 +464,7 @@ def reorder(app: App, template_arg):
     """Reorder an album onto one template curve, or onto each of them."""
     selector = template_arg
     if template_arg is None:
-        selector = app.section("reorder").get("template", "all")
-        if selector != "all":
-            with _config_section("reorder"):
-                check_type("template", selector, "int")
+        selector = app.config["reorder.template"]
     elif template_arg != "all":
         try:
             selector = int(template_arg)
@@ -475,7 +473,7 @@ def reorder(app: App, template_arg):
     template_set = _load_templates(app)
     selected = list(range(template_set.n_templates)) if selector == "all" else [selector]
     fits = _fit_docs(app, template_set, selected)
-    write_json(app.out / "orderings.json", {"orderings": fits}, app.provenance(app.effective_seed()))
+    write_json(app.out / "orderings.json", {"orderings": fits}, app.provenance())
     for doc in fits:
         click.echo(
             f"template {doc['template_index']}: {doc['track_order']} "
@@ -487,15 +485,8 @@ def reorder(app: App, template_arg):
 @click.pass_obj
 def evaluate(app: App):
     """Score templates against ground-truth orderings and both baselines."""
-    seed = app.effective_seed("evaluate")
-    alpha = app.section("evaluate").get("alpha", 0.05)
-    with _config_section("evaluate"):
-        check_type("alpha", alpha, "float")
-        check_alpha(alpha)
-    ga_k = app.section("ga").get("n_templates")
-    if ga_k is not None:
-        with _config_section("ga"):
-            check_type("n_templates", ga_k, "int")
+    seed = app.config["evaluate.seed"]
+    ga_k = app.config.get("ga.n_templates")
     prov = app.provenance(seed)
     dataset = _load_dataset(app, features=_essence_from_model(app))
     template_set = _load_templates(app)
@@ -503,9 +494,9 @@ def evaluate(app: App):
         raise ConfigError(
             f"config ga.n_templates={ga_k} does not match templates file k={template_set.n_templates}"
         )
-    albums = _split(app, dataset, "evaluate", "test")
+    albums = _split(dataset, app.config["evaluate.split"])
     essence = _scalar_essence(app, albums)
-    report = evaluate_templates(albums, essence, template_set, seed=seed, alpha=alpha)
+    report = evaluate_templates(albums, essence, template_set, seed=seed, alpha=app.config["evaluate.alpha"])
     doc = report.to_dict()
     write_json(app.out / "eval_report.json", doc, prov)
     _write_scores(app, plot_rows(doc), prov)
@@ -588,14 +579,14 @@ def plot_data(app: App):
     template_set = _load_templates(app)
     report_path = app.path("eval_report", required=False)
     scores = [] if report_path is None else _load_input(report_path, _report_rows, "eval report")
-    seed = app.effective_seed()
-    prov = app.provenance(seed)
+    prov = app.provenance()
     grid = np.linspace(0.0, 1.0, 201)
     samples = np.stack([curve(grid) for curve in template_set.curves()])
     header = ["x", *(f"template_{p}" for p in range(samples.shape[0]))]
     _write_rows(app.out / "curves.tsv", header, zip(grid, *samples), prov, sep="\t")
     svg = _curves_svg(template_set, samples, grid)
-    atomic_write_text(app.out / "curves.svg", f"<!-- config_sha256={app.hash} seed={seed} -->\n" + svg)
+    stamp = f"<!-- config_sha256={prov['config_sha256']} seed={prov['seed']} -->\n"
+    atomic_write_text(app.out / "curves.svg", stamp + svg)
     wrote = ["curves.tsv", "curves.svg"]
     if scores:
         _write_scores(app, scores, prov)

@@ -27,14 +27,15 @@ class Track:
     track_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Album:
     """An ordered collection of tracks; list order is the ground-truth order.
 
     ``features`` is a read-only C-ordered ``(len(tracks), 525)`` float matrix
     whose row ``j`` is track ``j``'s ``(75, 7)`` statistics flattened
     row-major (features by rows, :data:`STAT_NAMES` by columns), or None
-    where only the album structure is needed."""
+    where only the album structure is needed.  Albums compare and hash by
+    identity: a matrix has no truth value."""
 
     album_id: str
     tracks: tuple[Track, ...]

@@ -142,7 +142,9 @@ def paired_t_test(a, b) -> float:
 
 
 def check_alpha(alpha: float) -> None:
-    """Raise ValueError unless the family-wise level ``alpha`` is in (0, 1)."""
+    """Raise TypeError unless the family-wise level ``alpha`` is a number,
+    and ValueError unless it is in (0, 1)."""
+    check_type("alpha", alpha, "float")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha {alpha} outside (0, 1)")
 

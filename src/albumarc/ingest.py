@@ -38,6 +38,8 @@ from .fileio import read_table
 log = logging.getLogger(__name__)
 
 SPLITS = ("train", "validation", "test")
+# The 80/10/10 split rule: the split of each of ten buckets.
+_SPLIT_OF_BUCKET = ("train",) * 8 + ("validation", "test")
 
 FEATURE_COLUMNS = tuple(
     f"f{i + 1:03d}_{stat}" for i in range(N_FEATURES) for stat in STAT_NAMES
@@ -52,12 +54,12 @@ SYNTH_TRACK_JITTER = 0.15
 LATENT_SHAPES = ("rising", "falling", "valley", "peak")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """A collection of albums with per-album split assignments.
 
     ``scalar_features`` maps feature name -> track_id -> value for probe
-    features.
+    features.  Datasets, as their albums, compare and hash by identity.
     """
 
     albums: tuple[Album, ...]
@@ -82,11 +84,7 @@ class Dataset:
 
 def hash_split(album_id: str) -> str:
     """Stable 80/10/10 split assignment from the album id alone."""
-    digest = hashlib.sha256(album_id.encode("utf-8")).digest()
-    bucket = digest[0] % 10
-    if bucket < 8:
-        return "train"
-    return "validation" if bucket == 8 else "test"
+    return _SPLIT_OF_BUCKET[hashlib.sha256(album_id.encode("utf-8")).digest()[0] % 10]
 
 
 def load_album_table(path) -> Dataset:
@@ -96,7 +94,7 @@ def load_album_table(path) -> Dataset:
     The feature cells are neither parsed nor checked; every other row rule
     of :func:`load_feature_table` applies.
     """
-    return _load_table(path, None, width=4)
+    return _load_table(path, features=False)
 
 
 def load_feature_table(path) -> Dataset:
@@ -106,31 +104,20 @@ def load_feature_table(path) -> Dataset:
     Rows without an album id are dropped (and counted in the log).  Albums
     keep first-seen order; tracks are ordered by ``track_position``.
     """
-    return _load_table(path, _feature_row)
+    return _load_table(path, features=True)
 
 
-def _feature_row(row) -> np.ndarray:
-    try:
-        values = np.array(row[4:], dtype=np.float64)
-    except ValueError:
-        raise ValueError("non-numeric feature value") from None
-    if not np.isfinite(values).all():
-        raise ValueError(f"track {row[1]!r}: non-finite feature value")
-    return values
-
-
-def _load_table(path, parse_features, width=None) -> Dataset:
+def _load_table(path, features: bool) -> Dataset:
     """Apply every row rule of the feature-table schema to ``path``; with
-    ``parse_features``, each album's features are the rows it returns, and a
-    ValueError it raises is reported with the row's physical line.  With
-    ``width``, rows hold only their first ``width`` cells (see
+    ``features``, also parse and check the feature cells into each album's
+    ``features``, else read each row only up to its fourth cell (see
     :func:`read_table`)."""
     by_album: dict[str, list[tuple[int, str, np.ndarray | None]]] = {}
     positions: dict[str, set[int]] = {}
     album_of: dict[str, str] = {}
     split_votes: dict[str, set[str]] = {}
     dropped = 0
-    rows = read_table(path, width)
+    rows = read_table(path, None if features else 4)
     _, header = next(rows)
     if tuple(header) != HEADER:
         raise IngestError(
@@ -162,11 +149,13 @@ def _load_table(path, parse_features, width=None) -> Dataset:
                 f"{path}:{line_no}: track_id {row[1]!r} is already in album {album_of[row[1]]!r}"
             )
         values = None
-        if parse_features is not None:
+        if features:
             try:
-                values = parse_features(row)
-            except ValueError as exc:
-                raise IngestError(f"{path}:{line_no}: {exc}") from None
+                values = np.array(row[4:], dtype=np.float64)
+            except ValueError:
+                raise IngestError(f"{path}:{line_no}: non-numeric feature value") from None
+            if not np.isfinite(values).all():
+                raise IngestError(f"{path}:{line_no}: track {row[1]!r}: non-finite feature value")
         by_album.setdefault(album_id, []).append((position, row[1], values))
         split_votes.setdefault(album_id, set()).add(split)
     if dropped:
@@ -178,9 +167,9 @@ def _load_table(path, parse_features, width=None) -> Dataset:
         # Popped, so that each album's rows are freed once stacked.
         entries = sorted(by_album.pop(album_id), key=lambda e: e[0])
         tracks = tuple(Track(track_id) for _, track_id, _ in entries)
-        features = None if parse_features is None else np.stack([values for _, _, values in entries])
+        matrix = np.stack([values for _, _, values in entries]) if features else None
         try:
-            albums.append(Album(album_id=album_id, tracks=tracks, features=features))
+            albums.append(Album(album_id=album_id, tracks=tracks, features=matrix))
         except ValueError as exc:
             raise IngestError(f"{path}: album {album_id!r}: {exc}") from None
         votes = split_votes[album_id]
@@ -296,7 +285,9 @@ class SynthConfig:
         check_field_types(self)
         lo, hi = self.length_range
         if not (MIN_ALBUM_LEN <= lo <= hi <= MAX_ALBUM_LEN):
-            raise ValueError(f"length_range must lie within [3, 20], got {self.length_range}")
+            raise ValueError(
+                f"length_range must lie within [{MIN_ALBUM_LEN}, {MAX_ALBUM_LEN}], got {self.length_range}"
+            )
         if self.n_albums < 1:
             raise ValueError("n_albums must be positive")
         if self.latent_shape not in LATENT_SHAPES:
@@ -379,8 +370,7 @@ def synth_generate(config: SynthConfig, shuffle_orders: bool = False) -> Dataset
             order = rng.permutation(length)
             tracks, features = [tracks[j] for j in order], features[order]
         albums.append(Album(album_id=album_id, tracks=tuple(tracks), features=features))
-        bucket = i % 10
-        split_of[album_id] = "train" if bucket < 8 else ("validation" if bucket == 8 else "test")
+        split_of[album_id] = _SPLIT_OF_BUCKET[i % 10]
     return Dataset(albums=tuple(albums), split_of=split_of, scalar_features=scalars)
 
 

@@ -522,8 +522,11 @@ class TestErrors:
 
     def test_malformed_config_values(self, workspace, tmp_path):
         # Wrong-typed or out-of-range values fail as config errors (exit 2)
-        # naming their section, not as tracebacks or silent dead runs.
-        _, out, config, _, _ = workspace
+        # naming their section, not as tracebacks or silent dead runs: in
+        # any section, whether or not the command reads it, even where
+        # --seed overrides the seed, and before any data file is read (the
+        # input paths name absent files).
+        _, _, config, _, _ = workspace
         cases = [
             ("train", "train", {"batch_size": "16"}),
             ("train", "train", {"extractor_hidden": 0}),
@@ -533,13 +536,16 @@ class TestErrors:
             ("extract-templates", "ga", {"knots": [0, 0.5]}),
             ("extract-templates", "ga", {"knots": [0, 0.6, 0.4, 1]}),
             ("extract-templates", "ga", {"knots": "grid"}),
+            ("extract-templates", "ga", {"split": "dev"}),
             ("evaluate", "evaluate", {"alpha": "x"}),
             ("evaluate", "evaluate", {"alpha": 2.0}),
             ("evaluate", "evaluate", {"alpha": 0}),
             ("evaluate", "evaluate", {"seed": "abc"}),
+            ("--seed 3 evaluate", "evaluate", {"seed": "abc"}),
             ("evaluate", "evaluate", {"split": "dev"}),
             ("synth", "synth", {"n_albums": "many"}),
             ("synth", "synth", {"n_albums": "30"}),
+            ("synth", "train", {"batch_size": "16"}),
             ("train", "paths", {"dataset": 5}),
             ("train", "train", {"dims": []}),
             ("probe", "probe", {"features": "latent"}),
@@ -547,18 +553,15 @@ class TestErrors:
         ]
         for command, section, patch in cases:
             doc = json.loads(config.read_text())
-            doc["paths"] = {
-                "dataset": str(out / "dataset.csv"),
-                "model": str(out / "model.json"),
-                "templates": str(out / "templates.json"),
-            }
+            doc["paths"] = {key: str(tmp_path / "absent") for key in ("dataset", "model", "templates")}
             doc[section].update(patch)
             bad = tmp_path / "malformed.json"
             bad.write_text(json.dumps(doc))
-            result = run("--config", str(bad), "--out", str(tmp_path), command)
-            assert result.returncode == 2, (patch, result.stderr)
-            assert f"config section {section!r}" in result.stderr
+            result = run("--config", str(bad), "--out", str(tmp_path / "o"), *command.split())
+            assert result.returncode == 2, (command, patch, result.stderr)
+            assert f"config section {section!r}" in result.stderr, (command, patch, result.stderr)
             assert "Traceback" not in result.stderr
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["fit", "reorder"])
     @pytest.mark.parametrize("cell", ["nan", "-inf"])

@@ -18,6 +18,7 @@ from albumarc.core import (
     normalize_minmax,
     relative_positions,
 )
+from albumarc.ingest import Dataset
 
 
 def make_track(track_id="t1"):
@@ -74,6 +75,17 @@ class TestAlbum:
         album = Album("a", (make_track(),), features=make_features(1))
         with pytest.raises(ValueError):
             album.features[0, 0] = 1.0
+
+    def test_compares_and_hashes_by_identity(self):
+        # A features matrix has no truth value, so albums, and the datasets
+        # holding them, are compared and hashed as objects.
+        a = Album("a", (make_track(),), features=make_features(1))
+        b = Album("a", (make_track(),), features=make_features(1))
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+        dataset = Dataset(albums=(a,))
+        assert dataset == dataset and dataset != Dataset(albums=(b,))
+        assert hash(dataset) == hash(dataset)
 
 
 class TestEssenceSeries:

@@ -310,6 +310,16 @@ class TestCostOracle:
         assert len(_album_terms(albums, KNOTS)[1]) > 1
         _assert_matches_oracle(rng.standard_normal((8, 4, 7)), albums)
 
+    def test_blocks_sum_to_the_one_block_cost(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        values = [minmax_series(rng.random(int(n))) for n in rng.integers(2, 21, size=23)]
+        population = rng.standard_normal((6, 3, 7))
+        want = _population_cost(population, _album_terms(values, KNOTS))
+        monkeypatch.setattr(templates, "_BLOCK", 5)
+        album_terms = _album_terms(values, KNOTS)
+        assert len(album_terms[1]) == 5
+        np.testing.assert_allclose(_population_cost(population, album_terms), want, rtol=1e-12, atol=0.0)
+
     def test_evolve_with_oracle_cost(self, monkeypatch):
         rng = np.random.default_rng(12)
         albums = []
