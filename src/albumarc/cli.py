@@ -5,7 +5,8 @@ All commands read a versioned JSON config, checked whole when it is loaded
 (unknown keys and bad values rejected), route all randomness through one
 seed, write outputs atomically, and embed the config hash plus effective
 seed in every artifact, so reruns with the same config and seed are
-byte-identical.
+byte-identical.  A path a command needs but the config lacks is reported
+before the command reads any file.
 """
 
 from __future__ import annotations
@@ -190,17 +191,15 @@ def _load_config(path: Path, seed: int | None) -> tuple[str, dict]:
     return config_hash(doc), config
 
 
-def _load_dataset(app: App, features: bool) -> Dataset:
-    """The length-filtered dataset.  Without ``features`` only the album
-    structure is read: feature cells are neither parsed nor checked."""
-    load = load_feature_table if features else load_album_table
-    return filter_albums(load(app.path("dataset")))
-
-
-def _essence_from_model(app: App) -> bool:
-    """Whether essence is extracted by paths.model from the features, which
-    is so when paths.essence is not set."""
-    return app.path("essence", required=False) is None
+def _essence_source(app: App) -> tuple[Path, bool]:
+    """paths.essence, else paths.model, and whether it is the model."""
+    essence = app.path("essence", required=False)
+    if essence is not None:
+        return essence, False
+    model = app.path("model", required=False)
+    if model is None:
+        raise ConfigError("config needs paths.essence or paths.model")
+    return model, True
 
 
 def _load_input(path: Path, from_dict, what: str):
@@ -230,39 +229,37 @@ def _scalar_column(source: Path, values: np.ndarray) -> np.ndarray:
     return values[:, 0]
 
 
-def _scalar_essence(app: App, dataset: Dataset) -> dict:
-    """track_id -> scalar essence, from the paths.essence CSV, else from the
-    paths.model extractor run over ``dataset``."""
-    if not _essence_from_model(app):
-        source = app.path("essence")
-        track_ids, values = load_essence_csv(source)
-    else:
-        source = app.path("model", required=False)
-        if source is None:
-            raise ConfigError("config needs paths.essence or paths.model")
-        model = _load_input(source, EssenceModel.from_dict, "model")
-        track_ids, values = _extract_essence(model, dataset)
-    return dict(zip(track_ids, _scalar_column(source, values).tolist()))
-
-
-def _split(dataset: Dataset, split: str) -> Dataset:
-    """The albums in ``split``; "all" keeps every album."""
+def _load_albums(dataset_path: Path, source: tuple[Path, bool], split: str) -> tuple[Dataset, dict]:
+    """The length-filtered albums of ``dataset_path`` in ``split`` ("all"
+    keeps every album), and track_id -> scalar essence from ``source`` (see
+    :func:`_essence_source`).  From the essence CSV only the album structure
+    of the dataset is read: feature cells are neither parsed nor checked;
+    the model's extractor runs over the albums' features."""
+    path, from_model = source
+    albums = filter_albums((load_feature_table if from_model else load_album_table)(dataset_path))
     if split != "all":
-        dataset = dataset.subset(split)
-    if not len(dataset):
+        albums = albums.subset(split)
+    if not len(albums):
         raise ConfigError(f"dataset has no albums in split {split!r}")
-    return dataset
+    if from_model:
+        track_ids, values = _extract_essence(_load_input(path, EssenceModel.from_dict, "model"), albums)
+    else:
+        track_ids, values = load_essence_csv(path)
+    return albums, dict(zip(track_ids, _scalar_column(path, values).tolist()))
 
 
-def _fit_docs(app: App, template_set: TemplateSet, indices: list[int], values_arg: str | None = None):
-    """One fit document per template index: the album is the ``--values``
-    list if given, else the paths.essence file, whose track ids then give
-    each document's ``track_order``."""
+def _fit_docs(app: App, selector: int | str, values_arg: str | None = None):
+    """One fit document per template of ``selector``, an index or "all": the
+    album is the ``--values`` list if given, else the paths.essence file,
+    whose track ids then give each document's ``track_order``."""
+    path = None if values_arg is not None else app.path("essence")
+    template_set = _load_templates(app)
+    indices = range(template_set.n_templates) if selector == "all" else [selector]
     for index in indices:
         if not 0 <= index < template_set.n_templates:
             raise ConfigError(f"template index {index} out of range (k={template_set.n_templates})")
     track_ids = None
-    if values_arg is not None:
+    if path is None:
         try:
             values = np.array([float(x) for x in values_arg.split(",")], dtype=np.float64)
             if values.size < 2 or not np.all(np.isfinite(values)):
@@ -270,7 +267,6 @@ def _fit_docs(app: App, template_set: TemplateSet, indices: list[int], values_ar
         except ValueError:
             raise ConfigError(f"bad --values: {values_arg!r}") from None
     else:
-        path = app.path("essence")
         track_ids, values = load_essence_csv(path)
         if values.shape[0] < 2:
             raise ConfigError(f"{path}: need at least 2 tracks to fit an ordering")
@@ -360,7 +356,7 @@ def train_cmd(app: App):
     base, dims = app.config["train"], app.config["train.dims"]
     configs = [base] if dims is None else [dataclasses.replace(base, essence_dim=d) for d in dims]
     prov = app.provenance(base.seed)
-    dataset = _load_dataset(app, features=True)
+    dataset = filter_albums(load_feature_table(app.path("dataset")))
     summary = []
     for config in configs:
         d = config.essence_dim
@@ -403,8 +399,8 @@ def probe(app: App):
     config = app.config["train"]
     features = app.config["probe.features"]
     prov = app.provenance(config.seed)
-    dataset = _load_dataset(app, features=False)
-    scalars_path = app.path("scalars")
+    dataset_path, scalars_path = app.path("dataset"), app.path("scalars")
+    dataset = filter_albums(load_album_table(dataset_path))
     scalars = load_scalar_table(scalars_path)
     if features is None:
         features = sorted(scalars)
@@ -429,8 +425,7 @@ def extract_templates(app: App):
     """Evolve template curves over the learned essence sequences."""
     config = app.config["ga"]
     prov = app.provenance(config.seed)
-    albums = _split(_load_dataset(app, features=_essence_from_model(app)), app.config["ga.split"])
-    essence = _scalar_essence(app, albums)
+    albums, essence = _load_albums(app.path("dataset"), _essence_source(app), app.config["ga.split"])
     series = [normalize_minmax(values) for _, values in album_values(albums.albums, essence)]
     template_set, history = evolve_templates(series, config, xs=app.config["ga.knots"])
     write_json(app.out / "templates.json", template_set.to_dict(), prov)
@@ -448,7 +443,7 @@ def extract_templates(app: App):
 @click.pass_obj
 def fit(app: App, values_arg, template_index):
     """Fit one album's essence series to a single template curve."""
-    [doc] = _fit_docs(app, _load_templates(app), [template_index], values_arg)
+    [doc] = _fit_docs(app, template_index, values_arg)
     write_json(app.out / "fit.json", doc, app.provenance())
     click.echo(
         f"template {template_index}: ordering {doc['ordering']} "
@@ -470,9 +465,7 @@ def reorder(app: App, template_arg):
             selector = int(template_arg)
         except ValueError:
             raise ConfigError(f'bad template selector {template_arg!r}; use an index or "all"') from None
-    template_set = _load_templates(app)
-    selected = list(range(template_set.n_templates)) if selector == "all" else [selector]
-    fits = _fit_docs(app, template_set, selected)
+    fits = _fit_docs(app, selector)
     write_json(app.out / "orderings.json", {"orderings": fits}, app.provenance())
     for doc in fits:
         click.echo(
@@ -488,14 +481,13 @@ def evaluate(app: App):
     seed = app.config["evaluate.seed"]
     ga_k = app.config.get("ga.n_templates")
     prov = app.provenance(seed)
-    dataset = _load_dataset(app, features=_essence_from_model(app))
+    dataset_path, source = app.path("dataset"), _essence_source(app)
     template_set = _load_templates(app)
     if ga_k is not None and ga_k != template_set.n_templates:
         raise ConfigError(
             f"config ga.n_templates={ga_k} does not match templates file k={template_set.n_templates}"
         )
-    albums = _split(dataset, app.config["evaluate.split"])
-    essence = _scalar_essence(app, albums)
+    albums, essence = _load_albums(dataset_path, source, app.config["evaluate.split"])
     report = evaluate_templates(albums, essence, template_set, seed=seed, alpha=app.config["evaluate.alpha"])
     doc = report.to_dict()
     write_json(app.out / "eval_report.json", doc, prov)

@@ -211,6 +211,31 @@ class TestPipeline:
         assert svg.count("<polyline") == 2
         assert "scores.tsv" in logs["plot-data"].stdout
 
+    def test_model_and_essence_csv_give_same_outputs(self, workspace, tmp_path):
+        # extract-templates and evaluate ran through paths.model; through the
+        # essence.csv that train wrote from that model they write the same
+        # artifacts and lines, provenance aside.
+        _, out, config, _, logs = workspace
+        o = tmp_path / "o"
+        doc = json.loads(config.read_text())
+        doc["paths"] = {
+            "dataset": str(out / "dataset.csv"),
+            "essence": str(out / "essence.csv"),
+            "templates": str(o / "templates.json"),
+        }
+        essence_config = tmp_path / "essence_config.json"
+        essence_config.write_text(json.dumps(doc))
+        for command in ("extract-templates", "evaluate"):
+            result = run_ok("--config", str(essence_config), "--out", str(o), command)
+            assert result.stdout == logs[command].stdout, command
+        for name in ("templates.json", "eval_report.json"):
+            docs = [json.loads((d / name).read_text()) for d in (out, o)]
+            for body in docs:
+                del body["provenance"]
+            assert docs[0] == docs[1], name
+        for name in ("ga_history.csv", "scores.tsv"):
+            assert _table_body(o / name) == _table_body(out / name), name
+
     def test_artifacts_get_the_mode_open_gives(self, workspace, tmp_path):
         # Artifacts are renamed into place from a temp file, which is made
         # owner-only; they must read like any other new file.
@@ -444,17 +469,44 @@ class TestErrors:
         ids=["not-utf8", "quoted-over-csv-limit"],
     )
     def test_unreadable_dataset_row(self, tmp_path, track, message):
-        # probe reads dataset.csv first; a row it cannot read is exit 2
-        # naming the file.
+        # probe resolves paths.scalars, then reads dataset.csv before the
+        # (absent) scalars file; a row it cannot read is exit 2 naming the
+        # file.
         features = b",0.0" * len(FEATURE_COLUMNS)
         rows = [",".join(HEADER).encode(), b"a1,t0,1,train" + features, b"a1," + track + b",2,train" + features]
         (tmp_path / "dataset.csv").write_bytes(b"\n".join(rows) + b"\n")
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"version": 1, "paths": {"dataset": "dataset.csv"}}))
+        config.write_text(json.dumps({"version": 1, "paths": {"dataset": "dataset.csv", "scalars": "scalars.csv"}}))
         result = run("--config", str(config), "--out", str(tmp_path / "o"), "probe")
         assert result.returncode == 2, result.stderr
         assert f"error: {tmp_path / message}" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "command, paths, message",
+        [
+            ("probe", {"dataset": "dataset.csv"}, "config paths.scalars is required"),
+            ("extract-templates", {"dataset": "dataset.csv"}, "config needs paths.essence or paths.model"),
+            ("evaluate", {"dataset": "dataset.csv", "essence": "dataset.csv"}, "config paths.templates is required"),
+            ("evaluate", {"dataset": "dataset.csv", "templates": "templates.json"},
+             "config needs paths.essence or paths.model"),
+            ("fit", {"templates": "templates.json"}, "config paths.essence is required"),
+            ("reorder", {"templates": "templates.json"}, "config paths.essence is required"),
+        ],
+        ids=["probe", "extract-templates", "evaluate-templates", "evaluate-essence", "fit", "reorder"],
+    )
+    def test_missing_path_reported_before_any_read(self, tmp_path, command, paths, message):
+        # Every path present names a file the command could not read, so an
+        # error naming the missing path shows that no file was read first.
+        (tmp_path / "dataset.csv").write_text("not,a,dataset\n")
+        (tmp_path / "templates.json").write_text("{not json")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"version": 1, "paths": paths}))
+        result = run("--config", str(config), "--out", str(tmp_path / "o"), command)
+        assert result.returncode == 2, result.stderr
+        assert f"error: {message}" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_bad_values_argument(self, workspace):
         ws, out, _, album_config, _ = workspace
@@ -485,16 +537,16 @@ class TestErrors:
         assert "bad template selector" in result.stderr
 
     def test_template_count_mismatch(self, workspace, tmp_path):
+        # evaluate reads the templates file before dataset.csv, whose bad
+        # header would be reported otherwise.
         ws, out, config, _, _ = workspace
+        (tmp_path / "dataset.csv").write_text("not,a,dataset\n")
         doc = json.loads(config.read_text())
         doc["ga"]["n_templates"] = 3
         doc["paths"] = {
-            key: str(out / name)
-            for key, name in (
-                ("dataset", "dataset.csv"),
-                ("model", "model.json"),
-                ("templates", "templates.json"),
-            )
+            "dataset": str(tmp_path / "dataset.csv"),
+            "model": str(out / "model.json"),
+            "templates": str(out / "templates.json"),
         }
         bad = tmp_path / "mismatch.json"
         bad.write_text(json.dumps(doc))
